@@ -13,15 +13,12 @@ from __future__ import annotations
 from repro.engine.base import (
     Engine,
     SymbolRelationCache,
+    arm,
     regex_to_relation,
     register_engine,
 )
 from repro.engine.budget import EvaluationBudget
-from repro.engine.joins import join_rule
-from repro.engine.relations import BinaryRelation
-from repro.engine.resultset import ResultSet
 from repro.generation.graph import LabeledGraph
-from repro.observability.trace import TRACER
 from repro.queries.ast import Query
 
 
@@ -31,36 +28,10 @@ class DatalogLikeEngine(Engine):
 
     name = "datalog"
     paper_system = "D"
+    conjunct_cache = SymbolRelationCache
 
-    def _evaluate(
-        self,
-        query: Query,
-        graph: LabeledGraph,
-        budget: EvaluationBudget | None = None,
-    ) -> ResultSet:
-        budget = (budget or EvaluationBudget()).start()
-        cache = SymbolRelationCache(graph)
-        answers: ResultSet | None = None
-        for rule_index, rule in enumerate(query.rules):
-            relations: list[BinaryRelation] = []
-            for conjunct_index, conjunct in enumerate(rule.body):
-                with TRACER.span(
-                    "engine.conjunct",
-                    rule=rule_index,
-                    conjunct=conjunct_index,
-                    text=conjunct.to_text(),
-                ) as span:
-                    relation = regex_to_relation(conjunct.regex, cache, budget)
-                    if span:
-                        span.set(rows=len(relation))
-                relations.append(relation)
-            rule_answers = join_rule(rule, relations, budget)
-            answers = (
-                rule_answers if answers is None else answers.union(rule_answers)
-            )
-            budget.stash_partial(answers)
-            budget.check_rows(answers.count())
-        return answers if answers is not None else ResultSet.empty()
+    def conjunct_relation(self, regex, graph, budget, cache):
+        return regex_to_relation(regex, cache, budget)
 
     def count_distinct(
         self,
@@ -83,7 +54,8 @@ class DatalogLikeEngine(Engine):
             and rule.head == (rule.body[0].source, rule.body[0].target)
             and rule.body[0].source != rule.body[0].target
         ):
-            budget = (budget or EvaluationBudget()).start()
-            cache = SymbolRelationCache(graph)
-            return len(regex_to_relation(rule.body[0].regex, cache, budget))
+            relation = self.conjunct_relation(
+                rule.body[0].regex, graph, arm(budget), self.conjunct_cache(graph)
+            )
+            return len(relation)
         return super().count_distinct(query, graph, budget)

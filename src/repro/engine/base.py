@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from repro.engine.budget import EvaluationBudget
+from repro.engine.closure import ClosureRelation
+from repro.engine.joins import join_rule
 from repro.engine.relations import BinaryRelation
 from repro.engine.resultset import ResultSet
 from repro.errors import EngineBudgetExceeded, EngineError, ExecutionCancelled
@@ -28,11 +30,28 @@ def register_engine(engine_cls):
     return engine_cls
 
 
+def arm(budget: EvaluationBudget | None) -> EvaluationBudget:
+    """The single arming point of an ``evaluate``/``count_distinct`` call.
+
+    Starts the clock of the caller's budget (the default limits when
+    none was given); an
+    :class:`~repro.execution.context.ExecutionContext` resets its
+    partial stash and event list here.
+    """
+    return (budget or EvaluationBudget()).start()
+
+
 class Engine:
     """Base class: evaluate UCRPQs on a :class:`LabeledGraph`.
 
     ``name`` is the registry key; ``paper_system`` the letter the paper
     uses for the corresponding real system (P, S, G, D).
+
+    A homomorphic engine is its *conjunct strategy* and nothing else:
+    :meth:`conjunct_relation` turns one conjunct's regular expression
+    into a relation, and the rule loop, the ``engine.conjunct`` spans,
+    the conjunct join, partial stashing and budget arming written once
+    below are shared by every such engine.
     """
 
     name: str = "abstract"
@@ -57,14 +76,16 @@ class Engine:
         trace recording and returns an
         :class:`~repro.observability.profile.EvaluationProfile` instead
         (the answers stay available as its ``result`` field).  Engines
-        implement :meth:`_evaluate`; overriding ``evaluate`` directly
+        implement :meth:`conjunct_relation` (or, for other match
+        semantics, :meth:`_evaluate`); overriding ``evaluate`` directly
         (third-party engines) keeps working — the profiler drives the
         public method.
 
-        When ``budget`` is an :class:`~repro.execution.context.
-        ExecutionContext` with ``on_budget="partial"``, a budget abort
-        (or cooperative cancellation) returns the answers accumulated so
-        far as a ResultSet flagged incomplete — with an
+        The budget is armed here, once per call.  When it is an
+        :class:`~repro.execution.context.ExecutionContext` with
+        ``on_budget="partial"``, a budget abort (or cooperative
+        cancellation) returns the answers accumulated so far as a
+        ResultSet flagged incomplete — with an
         :class:`~repro.execution.context.AbortReport` attached — instead
         of raising.
         """
@@ -72,24 +93,60 @@ class Engine:
             from repro.engine.profiling import profiled_evaluate
 
             return profiled_evaluate(self, query, graph, budget)
+        budget = arm(budget)
         with TRACER.span("engine.evaluate", engine=self.name):
             try:
                 return self._evaluate(query, graph, budget)
             except (EngineBudgetExceeded, ExecutionCancelled) as exc:
-                partial = None
-                if budget is not None:
-                    partial = budget.partial_result(exc, query.arity)
+                partial = budget.partial_result(exc, query.arity)
                 if partial is None:
                     raise
                 return partial
 
-    def _evaluate(
+    @staticmethod
+    def conjunct_cache(graph: LabeledGraph):
+        """Built once per evaluation and handed to every
+        :meth:`conjunct_relation` call (engines set a cache class)."""
+        return None
+
+    def conjunct_relation(
         self,
-        query: Query,
+        regex: RegularExpression,
         graph: LabeledGraph,
-        budget: EvaluationBudget | None = None,
-    ) -> ResultSet:
+        budget: EvaluationBudget,
+        cache,
+    ):
+        """The relation of one conjunct — the engine's strategy."""
         raise NotImplementedError
+
+    def _evaluate(
+        self, query: Query, graph: LabeledGraph, budget: EvaluationBudget
+    ) -> ResultSet:
+        """The homomorphic rule loop (``budget`` arrives armed)."""
+        cache = self.conjunct_cache(graph)
+        answers: ResultSet | None = None
+        for rule_index, rule in enumerate(query.rules):
+            relations = []
+            for conjunct_index, conjunct in enumerate(rule.body):
+                with TRACER.span(
+                    "engine.conjunct",
+                    rule=rule_index,
+                    conjunct=conjunct_index,
+                    text=conjunct.to_text(),
+                ) as span:
+                    relation = self.conjunct_relation(
+                        conjunct.regex, graph, budget, cache
+                    )
+                    if span:
+                        span.set(rows=len(relation))
+                relations.append(relation)
+            rule_answers = join_rule(rule, relations, budget)
+            answers = (
+                rule_answers if answers is None else answers.union(rule_answers)
+            )
+            budget.stash_partial(answers)
+            budget.check_rows(answers.count())
+        return answers if answers is not None else ResultSet.empty()
 
     def count_distinct(
         self,
@@ -157,8 +214,6 @@ def regex_to_relation(
         budget.check_time()
     assert combined is not None  # the AST guarantees >= 1 disjunct
     if regex.starred:
-        from repro.engine.closure import ClosureRelation
-
         # Stars are outermost (§3.3), so the closure never composes
         # further — the SCC-compressed representation suffices for the
         # conjunct join and avoids materialising quadratic pair sets.

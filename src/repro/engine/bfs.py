@@ -25,14 +25,7 @@ from __future__ import annotations
 
 from repro.engine.automaton import build_nfa
 from repro.engine.base import Engine, register_engine
-from repro.engine.budget import EvaluationBudget
 from repro.engine.frontier import SymbolCSRCache, frontier_regex_relation
-from repro.engine.joins import join_rule
-from repro.engine.relations import BinaryRelation
-from repro.engine.resultset import ResultSet
-from repro.generation.graph import LabeledGraph
-from repro.observability.trace import TRACER
-from repro.queries.ast import Query, RegularExpression
 
 
 @register_engine
@@ -41,46 +34,9 @@ class SparqlLikeEngine(Engine):
 
     name = "sparql"
     paper_system = "S"
+    # One CSR resolution per evaluation: conjuncts sharing symbols
+    # reuse the same (indptr, payload) views.
+    conjunct_cache = SymbolCSRCache
 
-    def _evaluate(
-        self,
-        query: Query,
-        graph: LabeledGraph,
-        budget: EvaluationBudget | None = None,
-    ) -> ResultSet:
-        budget = (budget or EvaluationBudget()).start()
-        answers: ResultSet | None = None
-        # One CSR resolution per evaluation: conjuncts sharing symbols
-        # reuse the same (indptr, payload) views.
-        csr = SymbolCSRCache(graph)
-        for rule_index, rule in enumerate(query.rules):
-            relations = []
-            for conjunct_index, conjunct in enumerate(rule.body):
-                with TRACER.span(
-                    "engine.conjunct",
-                    rule=rule_index,
-                    conjunct=conjunct_index,
-                    text=conjunct.to_text(),
-                ) as span:
-                    relation = self._regex_relation(
-                        conjunct.regex, graph, budget, csr
-                    )
-                    if span:
-                        span.set(rows=len(relation))
-                relations.append(relation)
-            rule_answers = join_rule(rule, relations, budget)
-            answers = (
-                rule_answers if answers is None else answers.union(rule_answers)
-            )
-            budget.stash_partial(answers)
-            budget.check_rows(answers.count())
-        return answers if answers is not None else ResultSet.empty()
-
-    def _regex_relation(
-        self,
-        regex: RegularExpression,
-        graph: LabeledGraph,
-        budget: EvaluationBudget,
-        csr: SymbolCSRCache | None = None,
-    ) -> BinaryRelation:
-        return frontier_regex_relation(build_nfa(regex), graph, budget, csr)
+    def conjunct_relation(self, regex, graph, budget, cache):
+        return frontier_regex_relation(build_nfa(regex), graph, budget, cache)

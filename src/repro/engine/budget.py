@@ -10,7 +10,7 @@ harness records as a failure ("-") instead of hanging the benchmark.
 The implementation now lives in :mod:`repro.execution.budget` as
 :class:`~repro.execution.budget.ResourceBudget`, which additionally
 governs live memory (``max_bytes``) and cooperative cancellation.
-:class:`EvaluationBudget` remains as the engine-facing name so every
+:class:`EvaluationBudget` remains as the engine-facing alias so every
 existing import and call site keeps working; pass an
 :class:`~repro.execution.context.ExecutionContext` anywhere a budget is
 accepted to opt into graceful degradation and partial results.
@@ -18,18 +18,16 @@ accepted to opt into graceful degradation and partial results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.execution.budget import CancellationToken, ResourceBudget
 
 __all__ = ["CancellationToken", "EvaluationBudget", "ResourceBudget", "unlimited"]
 
+#: Per-query limits on time and intermediate result size: the
+#: engine-facing name of :class:`ResourceBudget` (one type, so an
+#: ``ExecutionContext`` is an ``EvaluationBudget`` too).
+EvaluationBudget = ResourceBudget
 
-@dataclass
-class EvaluationBudget(ResourceBudget):
-    """Per-query limits on time and intermediate result size."""
 
-
-def unlimited() -> EvaluationBudget:
+def unlimited() -> ResourceBudget:
     """A budget that effectively never triggers (for tests)."""
-    return EvaluationBudget(timeout_seconds=float("inf"), max_rows=2**62).start()
+    return ResourceBudget(timeout_seconds=float("inf"), max_rows=2**62).start()

@@ -6,9 +6,11 @@ into strongly connected components (scipy's ``connected_components``),
 compute component-level reachability over the condensation DAG, and
 answer pair queries through the component maps.  Because gMark regular
 expressions only allow Kleene star at the *outermost* level, a closure
-is never composed further — it flows straight into the conjunct join —
-so this class only implements the join-facing relation API
-(``targets_of``, ``inverse``, membership, iteration, ``__len__``).
+is never composed further — it flows straight into the conjunct join,
+which it faces through two array methods: :meth:`contains_many` (a
+both-bound filter answered from the component-level reach keys) and
+:meth:`restrict` (the part of ``R*`` a binding table can reach,
+materialised as an ordinary packed-key relation).
 
 This mirrors how mature Datalog engines survive the paper's recursive
 workload (Table 4) while the naive SQL:1999 fixpoint drowns.
@@ -16,13 +18,20 @@ workload (Table 4) while the naive SQL:1999 fixpoint drowns.
 
 from __future__ import annotations
 
+import copy
 from typing import Iterator
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from repro.columnar import keys_contain
+from repro.columnar import (
+    expand_indptr,
+    expand_join,
+    indptr_for,
+    keys_contain_many,
+    pack_pairs,
+)
 from repro.engine.budget import EvaluationBudget, unlimited
 from repro.engine.relations import BinaryRelation
 
@@ -52,117 +61,45 @@ class ClosureRelation:
             labels = np.arange(node_count, dtype=np.int64)
         budget.check_time()
 
+        #: node -> component id.
         self._labels = np.asarray(labels, dtype=np.int64)
         component_count = int(self._labels.max()) + 1 if node_count else 0
 
-        # Members per component.
-        order = np.argsort(self._labels, kind="stable")
-        sorted_labels = self._labels[order]
-        boundaries = np.searchsorted(
-            sorted_labels, np.arange(component_count + 1)
-        )
-        self._members: list[np.ndarray] = [
-            order[boundaries[c] : boundaries[c + 1]] for c in range(component_count)
-        ]
+        # component -> members, as a CSR over the label-sorted node ids.
+        self._member_order = np.argsort(self._labels, kind="stable")
+        self._member_indptr = indptr_for(self._labels, component_count)
 
         # Condensation DAG edges: map endpoints to components and
         # deduplicate cross-component pairs in one vectorized pass.
-        dag_successors: dict[int, set[int]] = {}
+        dag_successors: dict[int, list[int]] = {}
         if sources.size:
             source_components = self._labels[sources]
             target_components = self._labels[targets]
             cross = source_components != target_components
-            if cross.any():
-                dag_pairs = np.unique(
-                    np.column_stack(
-                        (source_components[cross], target_components[cross])
-                    ),
-                    axis=0,
-                )
-                for cs, ct in dag_pairs.tolist():
-                    dag_successors.setdefault(cs, set()).add(ct)
+            dag = BinaryRelation.from_arrays(
+                source_components[cross], target_components[cross]
+            )
+            for cs, ct in dag:
+                dag_successors.setdefault(cs, []).append(ct)
         budget.check_time()
 
-        # Component-level reachability (includes self), computed in
-        # reverse topological order with memoised descendant sets held
-        # as sorted id columns — the same sorted-set algebra as the
-        # frontier kernels, so membership is one binary search and the
-        # expansion below is pure array indexing.
-        self._reach: dict[int, np.ndarray] = {}
-        self._compute_reachability(dag_successors, component_count, budget)
-
+        #: Component-level reachability (includes self) as a packed-key
+        #: relation over component ids — the only reach representation:
+        #: membership is one binary search, the inverse one re-sort.
+        self._reach = _component_reach(dag_successors, component_count, budget)
         self._size: int | None = None
-        self._targets_cache: dict[int, np.ndarray] = {}
-        self._sorted_targets_cache: dict[int, np.ndarray] = {}
         self._inverse: ClosureRelation | None = None
-        self._dag_successors = dag_successors
-
-    # -- construction helpers ------------------------------------------
-
-    def _compute_reachability(
-        self,
-        dag_successors: dict[int, set[int]],
-        component_count: int,
-        budget: EvaluationBudget,
-    ) -> None:
-        state = np.zeros(component_count, dtype=np.int8)  # 0 new, 1 open, 2 done
-        for root in range(component_count):
-            if state[root] == 2:
-                continue
-            stack = [root]
-            while stack:
-                component = stack[-1]
-                if state[component] == 0:
-                    state[component] = 1
-                    for successor in dag_successors.get(component, ()):
-                        if state[successor] == 0:
-                            stack.append(successor)
-                else:
-                    stack.pop()
-                    if state[component] == 2:
-                        continue
-                    state[component] = 2
-                    successors = dag_successors.get(component, ())
-                    own = np.array([component], dtype=np.int64)
-                    if successors:
-                        self._reach[component] = np.unique(
-                            np.concatenate(
-                                [own] + [self._reach[s] for s in successors]
-                            )
-                        )
-                    else:
-                        self._reach[component] = own
-                    budget.check_time()
 
     # -- relation API -----------------------------------------------------
 
     def __len__(self) -> int:
         if self._size is None:
-            component_count = len(self._members)
-            if component_count == 0:
-                self._size = 0
-            else:
-                # |R*| = Σ_c |c| · Σ_{d ∈ reach(c)} |d|, fully array-side:
-                # concatenate the reach columns (each non-empty — a
-                # component always reaches itself) and segment-sum the
-                # gathered component sizes with one reduceat.
-                component_sizes = np.bincount(
-                    self._labels, minlength=component_count
-                )
-                reach_columns = [
-                    self._reach[c] for c in range(component_count)
-                ]
-                reach_counts = np.fromiter(
-                    (column.size for column in reach_columns),
-                    dtype=np.int64,
-                    count=component_count,
-                )
-                starts = np.concatenate(
-                    ([0], np.cumsum(reach_counts)[:-1])
-                )
-                gathered = component_sizes[np.concatenate(reach_columns)]
-                reach_sizes = np.add.reduceat(gathered, starts)
-                self._size = int((component_sizes * reach_sizes).sum())
+            # |R*| = Σ_{(c, d) ∈ reach} |c| · |d|.
+            sizes = np.diff(self._member_indptr)
+            reach = self._reach
+            self._size = int(
+                (sizes[reach.source_array] * sizes[reach.target_array]).sum()
+            )
         return self._size
 
     def __bool__(self) -> bool:
@@ -172,108 +109,125 @@ class ClosureRelation:
         source, target = pair
         if not (0 <= source < self.node_count and 0 <= target < self.node_count):
             return False
-        return keys_contain(
-            self._reach[int(self._labels[source])], int(self._labels[target])
+        return (
+            int(self._labels[source]), int(self._labels[target])
+        ) in self._reach
+
+    def contains_many(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Membership mask of parallel (source, target) id columns.
+
+        Answered at component level — ``labels[sources], labels[targets]``
+        against the reach keys — so nothing node-level is built however
+        large the components are.  Ids must lie in the node domain (the
+        join's columns come from relations over the same graph).
+        """
+        probes = pack_pairs(self._labels[sources], self._labels[targets])
+        return keys_contain_many(self._reach.key_array, probes)
+
+    def restrict(
+        self, sources: np.ndarray | None, budget: EvaluationBudget
+    ) -> BinaryRelation:
+        """``{(s, t) ∈ R* | s ∈ sources}`` materialised (None: every node).
+
+        Two batch CSR gathers — distinct source → reachable components
+        → their members — each charged to the budget *before* its
+        columns are built.  The conjunct join only asks for the distinct
+        bound values of its table, each of which owns at least one row,
+        so the restriction never exceeds the extension it feeds.
+        """
+        if sources is None:
+            distinct = np.arange(self.node_count, dtype=np.int64)
+        else:
+            distinct = np.unique(sources)
+            distinct = distinct[distinct < self.node_count]
+        budget.check_time()
+        _, source_index, reach_index = expand_join(
+            self._labels[distinct], self._reach.source_array, budget.check_rows
+        )
+        member_index, members = expand_indptr(
+            self._reach.target_array[reach_index],
+            self._member_indptr,
+            self._member_order,
+            budget.check_rows,
+        )
+        return BinaryRelation.from_arrays(
+            distinct[source_index[member_index]], members
         )
 
     def targets_of(self, source: int) -> set[int]:
         """Reachable nodes from ``source`` — always a fresh, safe set."""
-        return set(self.targets_of_array(source).tolist())
-
-    def targets_of_array(self, source: int) -> np.ndarray:
-        """Reachable nodes as a read-only array (cached per component)."""
-        if not 0 <= source < self.node_count:
-            return np.empty(0, dtype=np.int64)
-        component = int(self._labels[source])
-        cached = self._targets_cache.get(component)
-        if cached is None:
-            members = [
-                self._members[c] for c in self._reach[component].tolist()
-            ]
-            cached = np.concatenate(members) if members else np.empty(0, np.int64)
-            cached.setflags(write=False)
-            self._targets_cache[component] = cached
-        return cached
-
-    def targets_sorted_array(self, source: int) -> np.ndarray:
-        """Reachable nodes as a *sorted* read-only id column.
-
-        The semi-join path of the conjunct joiner probes these with
-        ``searchsorted`` over whole binding-table slices; cached per
-        component like :meth:`targets_of_array`.
-        """
-        if not 0 <= source < self.node_count:
-            return np.empty(0, dtype=np.int64)
-        component = int(self._labels[source])
-        cached = self._sorted_targets_cache.get(component)
-        if cached is None:
-            cached = np.sort(self.targets_of_array(source))
-            cached.setflags(write=False)
-            self._sorted_targets_cache[component] = cached
-        return cached
-
-    def loop_array(self) -> np.ndarray:
-        """Nodes with a ``(v, v)`` pair — all of them (R* is reflexive)."""
-        return np.arange(self.node_count, dtype=np.int64)
-
-    def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Materialised ``(sources, targets)`` columns of the closure.
-
-        One ``repeat``/``tile`` assembly per SCC (every member of a
-        component shares one target column), so the cost is linear in
-        the output — callers charge the budget with ``len(self)``
-        *before* asking for the materialisation.
-        """
-        source_chunks: list[np.ndarray] = []
-        target_chunks: list[np.ndarray] = []
-        for members in self._members:
-            if members.size == 0:
-                continue
-            targets = self.targets_of_array(int(members[0]))
-            source_chunks.append(np.repeat(members, targets.size))
-            target_chunks.append(np.tile(targets, members.size))
-        if not source_chunks:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        return np.concatenate(source_chunks), np.concatenate(target_chunks)
+        reachable = self.restrict(np.array([source], dtype=np.int64), unlimited())
+        return set(reachable.target_array.tolist())
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        for source in range(self.node_count):
-            for target in self.targets_of_array(source).tolist():
-                yield source, target
+        return iter(self.restrict(None, unlimited()))
 
     def pairs(self) -> set[tuple[int, int]]:
         return set(self)
 
-    def inverse(self) -> "ClosureRelation":
-        """Closure of the reversed base (reverse the condensation DAG)."""
+    def inverse(self, budget: EvaluationBudget | None = None) -> "ClosureRelation":
+        """Closure of the reversed base: the transposed component reach."""
         if self._inverse is None:
-            reversed_relation = ClosureRelation.__new__(ClosureRelation)
-            reversed_relation.node_count = self.node_count
-            reversed_relation._labels = self._labels
-            reversed_relation._members = self._members
-            reversed_dag: dict[int, set[int]] = {}
-            for component, successors in self._dag_successors.items():
-                for successor in successors:
-                    reversed_dag.setdefault(successor, set()).add(component)
-            reversed_relation._dag_successors = reversed_dag
-            reversed_relation._reach = {}
-            reversed_relation._compute_reachability(
-                reversed_dag, len(self._members), unlimited()
-            )
-            reversed_relation._size = self._size
-            reversed_relation._targets_cache = {}
-            reversed_relation._sorted_targets_cache = {}
-            reversed_relation._inverse = self
-            self._inverse = reversed_relation
+            if budget is not None:
+                budget.check_time()
+                budget.check_bytes(self._reach.nbytes)
+            inverse = copy.copy(self)
+            inverse._reach = self._reach.inverse()
+            inverse._inverse = self
+            self._inverse = inverse
         return self._inverse
-
-    def to_binary_relation(self) -> BinaryRelation:
-        """Materialise (tests / small relations only)."""
-        return BinaryRelation(iter(self))
 
     def __repr__(self) -> str:
         return (
             f"ClosureRelation({self.node_count} nodes, "
-            f"{len(self._members)} SCCs)"
+            f"{self._member_indptr.size - 1} SCCs)"
         )
+
+
+def _component_reach(
+    dag_successors: dict[int, list[int]],
+    component_count: int,
+    budget: EvaluationBudget,
+) -> BinaryRelation:
+    """Reflexive reachability over the condensation DAG.
+
+    Post-order DFS with memoised descendant sets held as sorted id
+    columns, so each component's reach is one ``np.unique`` over its
+    successors' — the same sorted-set algebra as the frontier kernels.
+    """
+    reach: dict[int, np.ndarray] = {}
+    state = np.zeros(component_count, dtype=np.int8)  # 0 new, 1 open, 2 done
+    for root in range(component_count):
+        if state[root] == 2:
+            continue
+        stack = [root]
+        while stack:
+            component = stack[-1]
+            if state[component] == 0:
+                state[component] = 1
+                for successor in dag_successors.get(component, ()):
+                    if state[successor] == 0:
+                        stack.append(successor)
+            else:
+                stack.pop()
+                if state[component] == 2:
+                    continue
+                state[component] = 2
+                successors = dag_successors.get(component, ())
+                own = np.array([component], dtype=np.int64)
+                if successors:
+                    reach[component] = np.unique(
+                        np.concatenate([own] + [reach[s] for s in successors])
+                    )
+                else:
+                    reach[component] = own
+                budget.check_time()
+    if not reach:
+        return BinaryRelation()
+    columns = [reach[c] for c in range(component_count)]
+    components = np.repeat(
+        np.arange(component_count), [column.size for column in columns]
+    )
+    return BinaryRelation.from_keys(
+        pack_pairs(components, np.concatenate(columns))
+    )

@@ -22,10 +22,6 @@ from repro.engine.sqllike import PostgresLikeEngine  # noqa: F401
 from repro.generation.graph import LabeledGraph
 from repro.queries.ast import Query
 
-#: Paper letter -> engine name (Table 4 / Fig. 12 row labels) — a view
-#: of the registry's aliases, kept for backward compatibility.
-PAPER_SYSTEMS = ENGINES.aliases()
-
 
 def engine_by_name(name: str) -> Engine:
     """Look up an engine by name ('postgres', 'sparql', 'cypher',

@@ -577,9 +577,8 @@ class CypherLikeEngine(Engine):
         self,
         query: Query,
         graph: LabeledGraph,
-        budget: EvaluationBudget | None = None,
+        budget: EvaluationBudget,
     ) -> ResultSet:
-        budget = (budget or EvaluationBudget()).start()
         ctx = _EvalContext(graph, budget)
         arity = query.rules[0].arity
         tables: list[np.ndarray] = []

@@ -8,16 +8,15 @@ left-deep order is kept for the join-planning ablation bench.
 
 The binding table lives as a unique-row ``int64`` matrix (one column
 per bound variable) for the whole join and is extended one conjunct at
-a time.  When the conjunct's relation is array-backed
-(:class:`BinaryRelation`), each extension is a vectorized sort-merge
-probe of the relation's CSR columns (``np.searchsorted`` +
-``np.repeat`` expansion) over the whole table at once; relations that
-only expose the set API (the SCC-compressed
+a time by **one** kernel: a vectorized sort-merge probe of the
+relation's packed-key columns (``np.searchsorted`` + ``np.repeat``
+expansion) over the whole table at once.  The SCC-compressed
 :class:`~repro.engine.closure.ClosureRelation`, which deliberately
-avoids materialising its pair set) are extended *grouped by distinct
-bound value* — one ``targets_of_array`` probe and one
-``repeat``/``tile`` assembly per distinct value instead of one Python
-loop iteration per row.  Rows stay unique by construction — every
+avoids materialising its pair set, reaches that kernel through its two
+array methods: a both-bound step is a component-level membership
+filter, and every other step first restricts the closure to the
+table's distinct bound values — an ordinary relation no larger than
+the extension it feeds.  Rows stay unique by construction — every
 extension either filters rows or appends distinct values per row — so
 no intermediate deduplication is needed.  The head projection is handed
 to :class:`~repro.engine.resultset.ResultSet` as column groups: no
@@ -30,6 +29,7 @@ import numpy as np
 
 from repro.columnar import expand_join, keys_contain_many, pack_pairs
 from repro.engine.budget import EvaluationBudget, unlimited
+from repro.engine.closure import ClosureRelation
 from repro.engine.relations import BinaryRelation
 from repro.engine.resultset import ResultSet
 from repro.errors import EngineBudgetExceeded
@@ -116,127 +116,6 @@ def _extend_vectorized(
     return np.column_stack((table[probe_index], gather[build_index]))
 
 
-def _extend_semijoin(
-    table: np.ndarray,
-    relation,
-    src_pos: int,
-    trg_pos: int,
-    budget: EvaluationBudget,
-) -> np.ndarray:
-    """Both-bound membership filter against a set-API relation.
-
-    One pass per *distinct source* of the binding table instead of one
-    Python ``in`` check per row: rows are grouped by their source value
-    (a stable argsort), each group probes the relation's sorted target
-    column with a single ``searchsorted`` (``keys_contain_many``), and
-    the surviving rows are selected with one boolean mask.
-    """
-    if table.shape[0] == 0:
-        return table
-    src_col = table[:, src_pos]
-    trg_col = table[:, trg_pos]
-    keep = np.zeros(table.shape[0], dtype=bool)
-    order = np.argsort(src_col, kind="stable")
-    sorted_src = src_col[order]
-    run_starts = np.flatnonzero(
-        np.concatenate(([True], sorted_src[1:] != sorted_src[:-1]))
-    )
-    run_ends = np.append(run_starts[1:], sorted_src.size)
-    sorted_targets = getattr(relation, "targets_sorted_array", None)
-    for rs, re_ in zip(run_starts.tolist(), run_ends.tolist()):
-        source = int(sorted_src[rs])
-        if sorted_targets is not None:
-            targets = sorted_targets(source)
-        else:
-            targets = np.sort(relation.targets_of_array(source))
-        group = order[rs:re_]
-        keep[group] = keys_contain_many(targets, trg_col[group])
-        budget.check_time()
-    return table[keep]
-
-
-def _extend_expand(
-    table: np.ndarray,
-    relation,
-    pos: int,
-    budget: EvaluationBudget,
-) -> np.ndarray:
-    """One-bound-endpoint expansion against a set-API relation.
-
-    Rows are grouped by their distinct bound value (one stable argsort);
-    each group expands with a single ``targets_of_array`` probe and one
-    ``repeat``/``tile`` assembly.  For :class:`ClosureRelation` the
-    probe is cached per SCC, so the per-group cost is index arithmetic.
-    The budget is charged on the cumulative output size *before* each
-    group's arrays are materialised.
-    """
-    if table.shape[0] == 0:
-        return np.zeros((0, table.shape[1] + 1), dtype=np.int64)
-    column = table[:, pos]
-    order = np.argsort(column, kind="stable")
-    sorted_column = column[order]
-    run_starts = np.flatnonzero(
-        np.concatenate(([True], sorted_column[1:] != sorted_column[:-1]))
-    )
-    run_ends = np.append(run_starts[1:], sorted_column.size)
-    row_chunks: list[np.ndarray] = []
-    value_chunks: list[np.ndarray] = []
-    total = 0
-    for rs, re_ in zip(run_starts.tolist(), run_ends.tolist()):
-        targets = relation.targets_of_array(int(sorted_column[rs]))
-        if targets.size == 0:
-            continue
-        group = order[rs:re_]
-        total += group.size * targets.size
-        budget.check_rows(total)
-        row_chunks.append(np.repeat(group, targets.size))
-        value_chunks.append(np.tile(targets, group.size))
-        budget.check_time()
-    if not row_chunks:
-        return np.zeros((0, table.shape[1] + 1), dtype=np.int64)
-    row_index = np.concatenate(row_chunks)
-    values = np.concatenate(value_chunks)
-    return np.column_stack((table[row_index], values))
-
-
-def _extend_setapi(
-    table: np.ndarray,
-    relation,
-    src_pos: int | None,
-    trg_pos: int | None,
-    self_loop: bool,
-    budget: EvaluationBudget,
-) -> np.ndarray:
-    """Array-native extension against a set-API relation.
-
-    The counterpart of :func:`_extend_vectorized` for relations that
-    avoid materialising their pair set (:class:`ClosureRelation`): every
-    binding case runs on whole columns — the per-row Python fallbacks
-    the seed kept here are gone.
-    """
-    if src_pos is not None and (trg_pos is not None or self_loop):
-        return _extend_semijoin(
-            table, relation, src_pos, src_pos if self_loop else trg_pos, budget
-        )
-    if src_pos is not None:
-        return _extend_expand(table, relation, src_pos, budget)
-    if trg_pos is not None:
-        return _extend_expand(table, relation.inverse(), trg_pos, budget)
-    if self_loop:
-        loops = relation.loop_array()
-        budget.check_rows(table.shape[0] * loops.size)
-        repeated = np.repeat(table, loops.size, axis=0)
-        return np.column_stack((repeated, np.tile(loops, table.shape[0])))
-    budget.check_rows(table.shape[0] * len(relation))
-    sources, targets = relation.pair_arrays()
-    repeated = np.repeat(table, sources.size, axis=0)
-    return np.column_stack((
-        repeated,
-        np.tile(sources, table.shape[0]),
-        np.tile(targets, table.shape[0]),
-    ))
-
-
 def _plan_steps(
     rule: QueryRule, order: list[int]
 ) -> tuple[list[tuple[int, int | None, int | None, bool]], list[str]]:
@@ -265,17 +144,33 @@ def _plan_steps(
 
 def _extend_step(
     table: np.ndarray,
-    relation,
+    relation: BinaryRelation | ClosureRelation,
     src_pos: int | None,
     trg_pos: int | None,
     self_loop: bool,
     budget: EvaluationBudget,
 ) -> np.ndarray:
-    if isinstance(relation, BinaryRelation):
-        return _extend_vectorized(
-            table, relation, src_pos, trg_pos, self_loop, budget
-        )
-    return _extend_setapi(table, relation, src_pos, trg_pos, self_loop, budget)
+    """One extension; a closure is first filtered by, or restricted to,
+    what the table binds."""
+    if isinstance(relation, ClosureRelation):
+        if self_loop:
+            # R* is reflexive: its loops are the identity.
+            relation = BinaryRelation.identity(range(relation.node_count))
+        elif src_pos is not None and trg_pos is not None:
+            return table[
+                relation.contains_many(table[:, src_pos], table[:, trg_pos])
+            ]
+        else:
+            if src_pos is None and trg_pos is not None:
+                # Bound target: expand the inverse closure from it; the
+                # new (source) column lands last either way.
+                relation, src_pos, trg_pos = relation.inverse(budget), trg_pos, None
+            relation = relation.restrict(
+                None if src_pos is None else table[:, src_pos], budget
+            )
+    return _extend_vectorized(
+        table, relation, src_pos, trg_pos, self_loop, budget
+    )
 
 
 def _join_from(

@@ -20,11 +20,9 @@ from collections import deque
 from repro.engine.automaton import NFA, build_nfa
 from repro.engine.base import Engine
 from repro.engine.budget import EvaluationBudget
-from repro.engine.joins import join_rule
 from repro.engine.relations import BinaryRelation
-from repro.engine.resultset import ResultSet
 from repro.generation.graph import LabeledGraph
-from repro.queries.ast import Query, RegularExpression
+from repro.queries.ast import RegularExpression
 
 
 class ReferenceSparqlEngine(Engine):
@@ -33,31 +31,12 @@ class ReferenceSparqlEngine(Engine):
     name = "sparql_reference"
     paper_system = "S"
 
-    def _evaluate(
-        self,
-        query: Query,
-        graph: LabeledGraph,
-        budget: EvaluationBudget | None = None,
-    ) -> ResultSet:
-        budget = (budget or EvaluationBudget()).start()
-        answers: ResultSet | None = None
-        for rule in query.rules:
-            relations = [
-                self._regex_relation(conjunct.regex, graph, budget)
-                for conjunct in rule.body
-            ]
-            rule_answers = join_rule(rule, relations, budget)
-            answers = (
-                rule_answers if answers is None else answers.union(rule_answers)
-            )
-            budget.check_rows(answers.count())
-        return answers if answers is not None else ResultSet.empty()
-
-    def _regex_relation(
+    def conjunct_relation(
         self,
         regex: RegularExpression,
         graph: LabeledGraph,
         budget: EvaluationBudget,
+        cache,
     ) -> BinaryRelation:
         nfa = build_nfa(regex)
         relation = BinaryRelation()

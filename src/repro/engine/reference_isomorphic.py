@@ -53,9 +53,8 @@ class ReferenceCypherEngine(Engine):
         self,
         query: Query,
         graph: LabeledGraph,
-        budget: EvaluationBudget | None = None,
+        budget: EvaluationBudget,
     ) -> ResultSet:
-        budget = (budget or EvaluationBudget()).start()
         # Backtracking is inherently tuple-at-a-time (matches surface one
         # assignment at a time), so the reference accumulates a Python
         # set and wraps it columnar once at the boundary.

@@ -178,10 +178,6 @@ class BinaryRelation:
         """Targets of ``source`` as a read-only CSR slice (hot path)."""
         return self._store.slice_of(source)
 
-    def sources_of_array(self, target: int) -> np.ndarray:
-        """Sources of ``target`` as a read-only slice of the inverse index."""
-        return self._store.backward_slice_of(target)
-
     def sources(self) -> np.ndarray:
         """Distinct sources (read-only sorted array)."""
         return np.unique(self._store.first)

@@ -214,13 +214,6 @@ class ResultSet(AbstractSet):
         result._init_from_table(flat.reshape(count, arity))
         return result
 
-    @classmethod
-    def from_tuples(
-        cls, rows: Iterable[tuple[int, ...]], arity: int | None = None
-    ) -> "ResultSet":
-        """Compatibility constructor (alias of ``ResultSet(rows)``)."""
-        return cls(rows, arity)
-
     # -- columnar access ------------------------------------------------
 
     @property

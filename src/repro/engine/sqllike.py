@@ -19,12 +19,9 @@ import numpy as np
 from repro.columnar import expand_join
 from repro.engine.base import Engine, register_engine
 from repro.engine.budget import EvaluationBudget
-from repro.engine.joins import join_rule
 from repro.engine.relations import BinaryRelation
-from repro.engine.resultset import ResultSet
 from repro.generation.graph import LabeledGraph
-from repro.observability.trace import TRACER
-from repro.queries.ast import PathExpression, Query, RegularExpression, is_inverse, symbol_base
+from repro.queries.ast import PathExpression, RegularExpression, is_inverse, symbol_base
 
 
 def _dedup(rows: np.ndarray) -> np.ndarray:
@@ -58,37 +55,13 @@ class PostgresLikeEngine(Engine):
     name = "postgres"
     paper_system = "P"
 
-    def _evaluate(
-        self,
-        query: Query,
-        graph: LabeledGraph,
-        budget: EvaluationBudget | None = None,
-    ) -> ResultSet:
-        budget = (budget or EvaluationBudget()).start()
-        label_cache: dict[str, np.ndarray] = {}
-        answers: ResultSet | None = None
-        for rule_index, rule in enumerate(query.rules):
-            relations = []
-            for conjunct_index, conjunct in enumerate(rule.body):
-                with TRACER.span(
-                    "engine.conjunct",
-                    rule=rule_index,
-                    conjunct=conjunct_index,
-                    text=conjunct.to_text(),
-                ) as span:
-                    relation = _to_relation(
-                        self._regex_rows(conjunct.regex, graph, label_cache, budget)
-                    )
-                    if span:
-                        span.set(rows=len(relation))
-                relations.append(relation)
-            rule_answers = join_rule(rule, relations, budget)
-            answers = (
-                rule_answers if answers is None else answers.union(rule_answers)
-            )
-            budget.stash_partial(answers)
-            budget.check_rows(answers.count())
-        return answers if answers is not None else ResultSet.empty()
+    @staticmethod
+    def conjunct_cache(graph: LabeledGraph) -> dict[str, np.ndarray]:
+        """Per-evaluation cache of single-symbol row matrices."""
+        return {}
+
+    def conjunct_relation(self, regex, graph, budget, cache):
+        return _to_relation(self._regex_rows(regex, graph, cache, budget))
 
     # -- relational evaluation -----------------------------------------
 

@@ -20,9 +20,9 @@ budget starts the clock instead of measuring from the monotonic epoch —
 the historical foot-gun where a budget used without ``.start()``
 aborted instantly.
 
-The legacy name :class:`~repro.engine.budget.EvaluationBudget` is a
-subclass re-exported from its old module, so existing engine code and
-call sites keep working unchanged.  Degradation-aware subclasses
+The engine-facing name :class:`~repro.engine.budget.EvaluationBudget`
+is an alias of this class kept in its old module, so existing engine
+code and call sites keep working unchanged.  Degradation-aware subclasses
 (:class:`~repro.execution.context.ExecutionContext`) override the
 ``degrade_plan`` / ``slice_plan`` / ``should_degrade`` hooks, which are
 inert here so a plain budget costs nothing beyond the checks

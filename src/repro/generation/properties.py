@@ -12,7 +12,9 @@ contract, per edge constraint:
   edges, so the expected per-node mean shrinks accordingly) and the
   tail stays light;
 * **Zipfian** sides: the realised degrees are heavy-tailed (hub degree
-  a large multiple of the mean);
+  a large multiple of the mean, scaled by the share of the declared
+  mean that survives truncation; sides too small to show a hub
+  reliably are not asked for one);
 * occurrence constraints: per-type node counts match the configuration.
 
 Degrees are computed *per constraint* — a predicate may appear in
@@ -40,6 +42,12 @@ from repro.schema.schema import EdgeConstraint
 
 #: Heavy-tail witness: hub degree must exceed this multiple of the mean.
 ZIPF_HUB_FACTOR = 4.0
+
+#: Smallest side the hub witness is asked of.  The largest of k Zipf
+#: draws only separates from a light tail once k is large: sampled at
+#: the default exponent, a k=100 side misses the 4× hub in ~1.5 % of
+#: draws (bib's 100 fixed cities), k=200 in ~0.03 %, k=300 in < 0.01 %.
+ZIPF_MIN_SAMPLE = 200
 
 #: Relative tolerance on a Gaussian side's truncation-adjusted mean.
 GAUSSIAN_MEAN_TOLERANCE = 0.5
@@ -142,15 +150,22 @@ def _check_side(
     elif isinstance(dist, ZipfianDistribution):
         # The hub witness needs enough edge mass to be meaningful: with
         # fewer edges than nodes the "hub" cannot exceed a few edges.
-        if len(degrees) >= 50 and mean >= 1.0:
+        if len(degrees) >= ZIPF_MIN_SAMPLE and mean >= 1.0:
+            # When the opposite side cannot supply the declared mean,
+            # Fig. 5's min(|v_src|, |v_trg|) truncation removes edge
+            # mass the hub would need: ask only for the share of it
+            # that survives (authors.out keeps 1.8 of its 2.0).
+            surviving = 1.0
+            if expected_mean is not None:
+                surviving = min(1.0, expected_mean / dist.mean_degree())
+            factor = ZIPF_HUB_FACTOR * surviving
             # Degrees are integers: demand the integer part of the
             # threshold, or a fractional mean fails a max that sits
             # exactly on the expected hub size (max 8 vs 4×2.01).
-            threshold = np.floor(ZIPF_HUB_FACTOR * mean)
-            if degrees.max() < threshold:
+            if degrees.max() < np.floor(factor * mean):
                 report.violations.append(
                     f"{context}: zipfian side shows no hub "
-                    f"(max {int(degrees.max())} < {ZIPF_HUB_FACTOR}×mean {mean:.2f})"
+                    f"(max {int(degrees.max())} < {factor:.1f}×mean {mean:.2f})"
                 )
 
 

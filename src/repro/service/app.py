@@ -325,17 +325,32 @@ class ServiceApp:
             )
         return engine
 
-    def post_evaluate(self, payload: dict, should_cancel=None) -> Response:
+    def _evaluate_payload(self, payload: dict, token: CancellationToken):
+        """The one evaluate path: ``(context, run)`` for an evaluate payload.
+
+        The payload is validated *now* (query or workload reference,
+        engine, budget fields), so a bad request never reaches the
+        pool; ``run()`` — the part that belongs on a pool worker —
+        resolves the graph artifact, evaluates under ``context`` and
+        returns the :class:`ResultSet`.
+        """
         key, query_text = self._resolve_query(payload)
         engine = self._check_engine(payload)
-        token = CancellationToken()
         context = budget_from_payload(payload, self.default_timeout, token)
 
         def run():
             artifact, _ = self._graph_artifact(key)
             query = artifact.session.query(query_text)
-            return artifact.session.evaluate(query, engine, budget=context)
+            result = artifact.session.evaluate(query, engine, budget=context)
+            if not result.complete:
+                METRICS.counter("service.request.partial").inc()
+            return result
 
+        return context, run
+
+    def post_evaluate(self, payload: dict, should_cancel=None) -> Response:
+        token = CancellationToken()
+        context, run = self._evaluate_payload(payload, token)
         try:
             result = self._run_job(run, token, should_cancel)
         except (QuerySyntaxError,) as exc:
@@ -346,8 +361,6 @@ class ServiceApp:
                 exc, peak_bytes=context.peak_bytes, events=context.events
             )
             return Response.json(503, report.to_dict(), **{"Retry-After": "1"})
-        if not result.complete:
-            METRICS.counter("service.request.partial").inc()
         return Response.ndjson(result.iter_ndjson())
 
     # -- jobs (the durable submit/poll half of evaluation) -------------
@@ -359,15 +372,8 @@ class ServiceApp:
         policy; the token is the job's, so ``DELETE /v1/jobs/{id}`` and
         the watchdog stop the evaluation at its next budget yield point.
         """
-        key, query_text = self._resolve_query(payload)
-        engine = self._check_engine(payload)
-        context = budget_from_payload(payload, self.default_timeout, token)
-        artifact, _ = self._graph_artifact(key)
-        query = artifact.session.query(query_text)
-        result = artifact.session.evaluate(query, engine, budget=context)
-        if not result.complete:
-            METRICS.counter("service.request.partial").inc()
-        return "".join(result.iter_ndjson())
+        _, run = self._evaluate_payload(payload, token)
+        return "".join(run().iter_ndjson())
 
     def post_jobs(self, payload: dict, should_cancel=None) -> Response:
         """Submit an evaluate payload as a durable job (202 + job id).

@@ -88,3 +88,56 @@ class TestClosureRelation:
         )
         reference = base.transitive_closure(nodes=range(bib_graph.n))
         assert via_engine == reference.pairs()
+
+
+class TestClosureInTheJoin:
+    def test_inverse_honours_the_callers_budget(self):
+        """A target-bound starred conjunct expands the *inverse* closure:
+        building it must poll the caller's token, not ``unlimited()``."""
+        from repro.errors import ExecutionCancelled
+        from repro.execution import CancellationToken, ResourceBudget
+
+        token = CancellationToken()
+        token.cancel("client went away")
+        closed, _ = closure_pair([(0, 1), (1, 2)], 4)
+        with pytest.raises(ExecutionCancelled):
+            closed.inverse(ResourceBudget(token=token))
+
+    @pytest.mark.parametrize("engine", ["postgres", "sparql", "datalog"])
+    def test_cancelled_token_stops_target_bound_star(self, bib_graph, engine):
+        from repro.engine import evaluate_query
+        from repro.errors import ExecutionCancelled
+        from repro.execution import CancellationToken, ResourceBudget
+        from repro.queries.parser import parse_query
+
+        token = CancellationToken()
+        token.cancel()
+        query = parse_query(
+            "(?x, ?z) <- (?x, authors, ?y), (?z, (extendedTo)*, ?y)"
+        )
+        with pytest.raises(ExecutionCancelled):
+            evaluate_query(query, bib_graph, engine, ResourceBudget(token=token))
+
+    def test_single_scc_cycle_filter_stays_linear(self, bib_config):
+        """Table 4's memory property: a starred conjunct that *closes* a
+        cycle is a both-bound filter answered from the component-level
+        reach, so on a graph that is one SCC of n nodes D completes
+        under ``max_rows = 4·n`` — a node-level materialisation of the
+        filter would need n²."""
+        from repro.engine import evaluate_query
+        from repro.engine.budget import EvaluationBudget
+        from repro.generation.graph import LabeledGraph
+        from repro.queries.parser import parse_query
+
+        n = bib_config.n
+        graph = LabeledGraph(bib_config)
+        for node in range(n):
+            graph.add_edge(node, "extendedTo", (node + 1) % n)
+        query = parse_query(
+            "(?x, ?z) <- (?x, extendedTo, ?y), (?y, extendedTo, ?z), "
+            "(?z, (extendedTo)*, ?x)"
+        )
+        answers = evaluate_query(
+            query, graph, "datalog", EvaluationBudget(max_rows=4 * n)
+        )
+        assert answers == {(v, (v + 2) % n) for v in range(n)}

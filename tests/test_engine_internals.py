@@ -72,15 +72,20 @@ class TestBfsRelationConstruction:
 
         for text in ("authors", "authors-.authors", "(authors.publishedIn + extendedTo)"):
             regex = parse_regex(text)
-            via_bfs = engine._regex_relation(regex, bib_graph, unlimited())
+            via_bfs = engine.conjunct_relation(
+                regex, bib_graph, unlimited(), engine.conjunct_cache(bib_graph)
+            )
             cache = SymbolRelationCache(bib_graph)
             via_algebra = regex_to_relation(regex, cache, unlimited())
             assert via_bfs.pairs() == via_algebra.pairs(), text
 
     def test_starred_regex_includes_identity(self, bib_graph):
         engine = SparqlLikeEngine()
-        relation = engine._regex_relation(
-            parse_regex("(authors)*"), bib_graph, unlimited()
+        relation = engine.conjunct_relation(
+            parse_regex("(authors)*"),
+            bib_graph,
+            unlimited(),
+            engine.conjunct_cache(bib_graph),
         )
         assert all((v, v) in relation for v in range(0, bib_graph.n, 97))
 

@@ -64,6 +64,65 @@ class TestEngineRegistry:
             assert ENGINES[name].homomorphic
 
 
+def _rule_loop_engines():
+    from repro.engine.reference_bfs import ReferenceSparqlEngine
+
+    return [e for e in ENGINES.values() if e.homomorphic] + [ReferenceSparqlEngine()]
+
+
+class TestOneRuleLoop:
+    """P, S, D and the reference S engine are conjunct strategies over
+    :meth:`Engine._evaluate`: spans and partial stashing come with it."""
+
+    QUERY = (
+        "(?x, ?y) <- (?x, heldIn, ?z), (?y, heldIn, ?z)\n"
+        "(?x, ?y) <- (?x, (extendedTo)*, ?y)"
+    )
+
+    @pytest.fixture(scope="class")
+    def chain_graph(self):
+        """3 ``heldIn`` edges into one node; a 40-node ``extendedTo``
+        chain whose closure (120 + 780 pairs) dwarfs rule 1's 9 answers."""
+        from repro.generation.graph import LabeledGraph
+        from repro.scenarios import bib_schema
+
+        graph = LabeledGraph(GraphConfiguration(120, bib_schema()))
+        for source in (50, 51, 52):
+            graph.add_edge(source, "heldIn", 53)
+        for node in range(39):
+            graph.add_edge(node, "extendedTo", node + 1)
+        return graph
+
+    @pytest.mark.parametrize("engine", _rule_loop_engines(), ids=lambda e: e.name)
+    def test_one_conjunct_span_per_conjunct(self, engine, chain_graph):
+        from repro.observability.trace import TRACER
+
+        with TRACER.recording() as capture:
+            engine.evaluate(parse_query(self.QUERY), chain_graph)
+        rows = {}
+        stack = list(capture.roots)
+        while stack:
+            span = stack.pop()
+            stack.extend(span.children)
+            if span.name == "engine.conjunct":
+                key = (span.attributes["rule"], span.attributes["conjunct"])
+                assert key not in rows
+                rows[key] = span.attributes["rows"]
+        assert rows == {(0, 0): 3, (0, 1): 3, (1, 0): 120 + 780}
+
+    @pytest.mark.parametrize("engine", _rule_loop_engines(), ids=lambda e: e.name)
+    def test_partial_keeps_finished_rules(self, engine, chain_graph):
+        from repro.execution import ExecutionContext
+
+        query = parse_query(self.QUERY)
+        rule1 = engine.evaluate(parse_query(self.QUERY.split("\n")[0]), chain_graph)
+        assert len(rule1) == 9
+        ctx = ExecutionContext(max_rows=300, on_budget="partial", degrade=False)
+        partial = engine.evaluate(query, chain_graph, ctx)
+        assert partial.complete is False
+        assert partial == rule1
+
+
 class TestHomomorphicAgreement:
     @pytest.mark.parametrize("text", QUERIES)
     def test_all_homomorphic_engines_agree(self, graph, text):

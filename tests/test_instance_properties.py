@@ -7,7 +7,7 @@ across scenarios, sizes, and seeds.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.generation.generator import generate_graph
@@ -26,6 +26,12 @@ class TestVerifyInstance:
         assert report.ok, report.violations
 
     @given(seed=st.integers(0, 300), n=st.integers(500, 6000))
+    # 153 single-venue conferences cannot give 100 cities their declared
+    # Zipfian mean of 2.0: truncation leaves max 4 on mean 1.32.
+    @example(seed=229, n=1628)
+    # No truncation, yet the largest of 100 Zipf draws is only 2.8× the
+    # mean — a 100-node side is too small a sample for the hub witness.
+    @example(seed=144, n=5433)
     @settings(
         max_examples=10,
         deadline=None,

@@ -154,36 +154,63 @@ class TestJoins:
         assert join_rule(rule, [BinaryRelation([(0, 1)])]) == {()}
         assert join_rule(rule, [BinaryRelation()]) == set()
 
-    def test_semijoin_on_empty_table(self):
-        """The set-API membership branch tolerates 0-row binding tables."""
+    def test_closure_filter_on_empty_table(self):
+        """The closure's both-bound filter tolerates 0-row binding tables."""
         import numpy as np
 
-        from repro.engine.budget import unlimited
         from repro.engine.closure import ClosureRelation
-        from repro.engine.joins import _extend_semijoin
 
         closure = ClosureRelation(BinaryRelation({(0, 1)}), 3)
         empty = np.zeros((0, 3), dtype=np.int64)
-        out = _extend_semijoin(empty, closure, 0, 2, unlimited())
-        assert out.shape == (0, 3)
+        mask = closure.contains_many(empty[:, 0], empty[:, 2])
+        assert empty[mask].shape == (0, 3)
 
-    def test_semijoin_matches_per_row_membership(self):
-        """Vectorized both-bound filter == per-row ``in`` on a closure."""
+    def test_closure_filter_matches_per_row_membership(self):
+        """Component-level both-bound filter == per-row ``in`` on a closure."""
         import numpy as np
 
-        from repro.engine.budget import unlimited
         from repro.engine.closure import ClosureRelation
-        from repro.engine.joins import _extend_semijoin
 
         rng = np.random.default_rng(0)
         pairs = {(int(a), int(b)) for a, b in rng.integers(0, 30, size=(80, 2))}
         closure = ClosureRelation(BinaryRelation(pairs), 30)
         table = rng.integers(0, 30, size=(200, 3)).astype(np.int64)
-        out = _extend_semijoin(table, closure, 0, 2, unlimited())
+        out = table[closure.contains_many(table[:, 0], table[:, 2])]
         expected = [
             row for row in table.tolist() if (row[0], row[2]) in closure
         ]
         assert out.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(?x, ?y) <- (?x, a, ?z), (?z, b, ?y)",  # closure source bound
+            "(?x, ?y) <- (?x, a, ?z), (?y, b, ?z)",  # closure target bound
+            "(?x, ?y) <- (?x, a, ?y), (?x, b, ?y)",  # both bound
+            "(?x, ?y) <- (?x, b, ?y)",  # nothing bound
+            "(?x) <- (?x, a, ?y), (?x, b, ?x)",  # bound self-loop
+            "(?x) <- (?x, b, ?x)",  # unbound self-loop
+        ],
+    )
+    def test_closure_joins_like_its_materialisation(self, text):
+        """Every binding case of a closure conjunct goes through the one
+        extension kernel and agrees with the materialised pair set."""
+        from repro.engine.closure import ClosureRelation
+
+        rule = parse_query(text).rules[0]
+        rel_a = BinaryRelation([(0, 1), (1, 2), (2, 2), (3, 0), (5, 4)])
+        closure = ClosureRelation(
+            BinaryRelation([(1, 0), (0, 3), (3, 1), (2, 4), (4, 5)]), 7
+        )
+        materialised = BinaryRelation(closure.pairs())
+        assert len(closure) == len(materialised)
+
+        def joined(rel_b):
+            return join_rule(rule, [
+                rel_a if "a" in c.regex.predicates else rel_b for c in rule.body
+            ])
+
+        assert joined(closure) == joined(materialised)
 
 
 class TestBudget:
