@@ -8,8 +8,11 @@ representation for such a set — a sorted ``int64`` array of packed
 everything else is built from:
 
 * packing/unpacking between pair columns and keys;
-* sorted-set algebra (union, difference, merge) via ``np.unique`` /
-  ``np.union1d`` / ``np.searchsorted``;
+* sorted-set algebra (union, difference, merge) via ``sort()`` + an
+  adjacent-difference mask (:func:`sorted_unique`) and
+  ``np.searchsorted`` — not ``np.unique``, whose hash path on NumPy
+  >= 2.3 is 3x (n = 100) to 27x (n = 400 k) slower on ``int64`` keys
+  (measured on 2.4.6);
 * CSR-style slicing: because keys sort lexicographically by the first
   column, the unpacked ``first`` column is itself sorted, so the pairs
   of one source are a contiguous slice found by binary search — no
@@ -52,10 +55,10 @@ def as_id_array(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.int64)
 
 
-def _check_range(arr: np.ndarray) -> None:
-    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= MAX_ID):
+def _check_range(arr: np.ndarray, limit: int) -> None:
+    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= limit):
         raise ValueError(
-            f"ids must be in [0, {MAX_ID}) to pack into 64-bit keys; "
+            f"ids must be in [0, {limit}); "
             f"got range [{int(arr.min())}, {int(arr.max())}]"
         )
 
@@ -67,12 +70,21 @@ def pack_key(first: int, second: int) -> int:
     return (first << KEY_BITS) | second
 
 
-def pack_pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Pack parallel id columns into a key column (not deduplicated)."""
+def pack_pairs(first, second, limit: int = MAX_ID) -> np.ndarray:
+    """Pack parallel id columns into a fresh key column (not deduplicated).
+
+    ``limit`` tightens the id bound (to a store's ``domain_size``) inside
+    the min/max pass the packing check makes anyway.
+    """
     first = as_id_array(first)
     second = as_id_array(second)
-    _check_range(first)
-    _check_range(second)
+    if first.ndim != 1 or first.shape != second.shape:
+        raise ValueError(
+            "pair columns must be 1-D and of equal length; "
+            f"got shapes {first.shape} and {second.shape}"
+        )
+    _check_range(first, limit)
+    _check_range(second, limit)
     return (first << KEY_BITS) | second
 
 
@@ -81,9 +93,23 @@ def unpack_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys >> KEY_BITS, keys & ((1 << KEY_BITS) - 1)
 
 
+def sorted_unique(keys) -> np.ndarray:
+    """Sorted unique ``int64`` column of any integer array-like.
+
+    The write side's one normalisation kernel: copy, in-place
+    ``sort()``, adjacent mask.  The input (a frozen store column, a
+    caller's batch) is never mutated; the result is fresh and writable.
+    """
+    column = np.array(keys, dtype=np.int64, order="C").reshape(-1)
+    column.sort()
+    return dedup_sorted(column)
+
+
 def sorted_unique_keys(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Pack + sort + deduplicate pair columns in one step."""
-    return np.unique(pack_pairs(first, second))
+    keys = pack_pairs(first, second)
+    keys.sort()  # in place only because pack_pairs always allocates
+    return dedup_sorted(keys)
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:
@@ -103,7 +129,7 @@ def keys_from_pair_set(pairs: set[int]) -> np.ndarray:
 
 def dedup_sorted(keys: np.ndarray) -> np.ndarray:
     """Drop adjacent duplicates from a sorted column."""
-    if keys.size == 0:
+    if keys.size < 2:
         return keys
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
@@ -114,14 +140,15 @@ def merge_keys(
     """Sorted-set union of two key columns.
 
     ``extra_canonical`` declares that ``extra`` is already sorted and
-    unique (a key column), skipping its normalisation pass.  Either
-    way, the concatenation of the two sorted runs is stable-sorted —
+    unique (a key column), skipping its :func:`sorted_unique` pass
+    (which copies: neither input is ever mutated).  Either way, the
+    concatenation of the two sorted runs is stable-sorted —
     timsort's galloping merge makes this near-linear in the output,
     ~4× faster than ``np.union1d``'s full re-sort for a large existing
     column.
     """
     if not extra_canonical:
-        extra = np.unique(extra)
+        extra = sorted_unique(extra)
     if existing.size == 0:
         return extra
     if extra.size == 0:
@@ -396,12 +423,15 @@ class PairStore:
         """Pack + merge parallel columns; returns the number of new
         pairs.  The merge exploits the existing column's sort order
         (see :func:`merge_keys`), so repeated batches on one store stay
-        near-linear."""
+        near-linear.  Columns not 1-D and equally long, or with ids
+        outside ``[0, domain_size)``, raise before the store is touched."""
+        limit = MAX_ID if self.domain_size is None else self.domain_size
+        batch = pack_pairs(first, second, min(limit, MAX_ID))
         self.flush()
         _BATCH_MERGES.inc()
         FAULTS.hit(_FP_BATCH_MERGE)
         before = self._keys.size
-        self._set_keys(merge_keys(self._keys, pack_pairs(first, second)))
+        self._set_keys(merge_keys(self._keys, batch))
         return self._keys.size - before
 
     # -- columns and indexes ------------------------------------------

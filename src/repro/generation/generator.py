@@ -56,8 +56,8 @@ class GraphGenerator:
         node index repeats at matching positions; the columnar store
         always collapses them (queries evaluate under set semantics).
         True (default) bulk-appends each constraint's whole batch in one
-        packed ``np.unique`` merge; False keeps the per-edge insertion
-        path as the ablation baseline.
+        packed sort + adjacent-mask merge; False keeps the per-edge
+        insertion path as the ablation baseline.
     """
 
     use_gaussian_fast_path: bool = True

@@ -14,9 +14,9 @@ Storage layers, in materialisation order:
 1. **edge stream** — the generator emits ``(label, sources, targets)``
    array batches (Fig. 5 runs one constraint at a time);
 2. **columnar store** — each batch is packed, merged, and deduplicated
-   into the label's sorted key column (``np.unique`` set semantics:
-   gMark evaluation is set-oriented per §3.3, so parallel identical
-   edges would never be observable through queries);
+   into the label's sorted key column (sort + adjacent-mask set
+   semantics: gMark evaluation is set-oriented per §3.3, so parallel
+   identical edges would never be observable through queries);
 3. **CSR indexes** — built on first navigation access per direction:
    the key column already *is* the forward CSR payload (keys sort by
    source, then target), the backward index is one ``argsort``;
@@ -88,15 +88,19 @@ class LabeledGraph:
     def add_edges(self, label: str, sources: np.ndarray, targets: np.ndarray) -> int:
         """Bulk-insert parallel arrays of endpoints; returns #inserted.
 
-        This is the generator's path: one packed ``np.unique`` merge per
-        constraint batch instead of a Python loop over pairs.
+        This is the generator's path: one packed sort + adjacent-mask
+        merge per constraint batch instead of a Python loop over pairs.
+        Ragged, non-1-D or out-of-``[0, n)`` columns raise ``ValueError``.
         """
         sources = as_id_array(sources)
         targets = as_id_array(targets)
-        if sources.size == 0:
+        if sources.size == 0 and targets.size == 0:
             return 0
         with TRACER.span("graph.add_edges", label=label) as span:
-            inserted = self._store(label).add_batch(sources, targets)
+            try:
+                inserted = self._store(label).add_batch(sources, targets)
+            except ValueError as error:
+                raise ValueError(f"label {label!r}: {error}") from None
             if span:
                 span.set(batch=int(sources.size), inserted=inserted)
         return inserted

@@ -1,0 +1,286 @@
+"""The write side's sort + adjacent-mask kernels (:mod:`repro.columnar`).
+
+``sorted_unique`` / ``merge_keys`` / ``sorted_unique_keys`` replaced
+``np.unique`` on the write path, so what ``np.unique`` gave for free is
+pinned here: parity with the NumPy set routines on every input shape,
+the no-mutation / any-integer-input contract, a probe proving no
+write-path call reaches ``np.unique`` any more, and the validation of
+what a bulk insert is handed.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.columnar import (
+    MAX_ID,
+    PairStore,
+    merge_keys,
+    pack_pairs,
+    sorted_unique,
+    sorted_unique_keys,
+)
+from repro.engine.relations import BinaryRelation
+from repro.generation.generator import generate_edge_stream, generate_graph
+from repro.generation.graph import LabeledGraph
+from repro.generation.reference import ReferenceLabeledGraph
+from repro.generation.writers import read_edge_list, write_edge_list
+from repro.scenarios import scenario_schema
+from repro.schema.config import GraphConfiguration
+
+# Small pools make duplicate-heavy and all-equal columns; the wide pool
+# reaches MAX_ID - 1, the largest packable id.
+_IDS = st.one_of(
+    st.integers(0, 3),
+    st.integers(0, 50),
+    st.sampled_from([0, 1, MAX_ID - 2, MAX_ID - 1]),
+    st.integers(0, MAX_ID - 1),
+)
+_ARRANGE = st.sampled_from(["as-is", "sorted", "reversed"])
+
+
+@st.composite
+def pair_columns(draw):
+    """Parallel ``(first, second)`` id columns, both up to ``MAX_ID - 1``.
+
+    Sorting the pairs sorts their packed keys, so the arrangement covers
+    already-sorted and reverse-sorted key columns too.
+    """
+    pairs = draw(st.lists(st.tuples(_IDS, _IDS), max_size=60))
+    arrangement = draw(_ARRANGE)
+    if arrangement != "as-is":
+        pairs = sorted(pairs, reverse=arrangement == "reversed")
+    columns = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return columns[:, 0], columns[:, 1]
+
+
+def key_columns():
+    """Packed (not deduplicated) key columns of :func:`pair_columns`."""
+    return pair_columns().map(lambda columns: pack_pairs(*columns))
+
+
+def assert_column(result: np.ndarray, expected: np.ndarray) -> None:
+    assert result.dtype == np.int64
+    assert result.flags.c_contiguous and result.flags.writeable
+    assert np.array_equal(result, expected)
+
+
+class TestParityWithNumpy:
+    @given(key_columns())
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_unique_is_np_unique(self, keys):
+        assert_column(sorted_unique(keys), np.unique(keys))
+
+    @given(key_columns(), key_columns())
+    @settings(max_examples=200, deadline=None)
+    def test_merge_keys_is_union1d(self, existing, extra):
+        existing = np.unique(existing)  # a store column is canonical
+        expected = np.union1d(existing, extra)
+        assert np.array_equal(merge_keys(existing, extra), expected)
+        assert np.array_equal(
+            merge_keys(existing, np.unique(extra), extra_canonical=True),
+            expected,
+        )
+
+    @given(pair_columns())
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_unique_keys_is_unique_of_pack(self, columns):
+        first, second = columns
+        expected = np.unique(pack_pairs(first, second))
+        assert_column(sorted_unique_keys(first, second), expected)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [7],
+            [5, 5, 5, 5],
+            [1, 2, 3, 4],
+            [4, 3, 2, 1],
+            [((MAX_ID - 1) << 32) | (MAX_ID - 1), 0, 0],
+        ],
+        ids=["empty", "single", "all-equal", "sorted", "reversed", "max-key"],
+    )
+    def test_named_shapes(self, values):
+        keys = np.asarray(values, dtype=np.int64)
+        assert_column(sorted_unique(keys), np.unique(keys))
+        assert np.array_equal(merge_keys(keys[:0], keys), np.unique(keys))
+
+
+class TestKernelContract:
+    """What ``np.unique`` guaranteed and the in-place sort must keep."""
+
+    def test_inputs_are_never_mutated(self):
+        existing = np.array([2, 5, 9], dtype=np.int64)
+        extra = np.array([9, 1, 5, 1, 7], dtype=np.int64)
+        before = existing.copy(), extra.copy()
+        sorted_unique(extra)
+        merged = merge_keys(existing, extra)
+        assert np.array_equal(existing, before[0])
+        assert np.array_equal(extra, before[1])
+        assert merged.tolist() == [1, 2, 5, 7, 9]
+
+    def test_read_only_input(self):
+        extra = np.array([3, 1, 3, 2], dtype=np.int64)
+        extra.setflags(write=False)
+        existing = np.array([0, 2], dtype=np.int64)
+        existing.setflags(write=False)
+        assert_column(sorted_unique(extra), np.array([1, 2, 3]))
+        assert_column(merge_keys(existing, extra), np.array([0, 1, 2, 3]))
+        assert extra.tolist() == [3, 1, 3, 2]
+
+    def test_non_contiguous_and_narrow_integer_input(self):
+        strided = np.array([9, 0, 4, 0, 9, 0, 1, 0], dtype=np.int64)[::2]
+        assert not strided.flags.c_contiguous
+        assert_column(sorted_unique(strided), np.array([1, 4, 9]))
+        narrow = np.array([3, 1, 3], dtype=np.int32)
+        assert_column(sorted_unique(narrow), np.array([1, 3]))
+        assert_column(sorted_unique([2, 2, 0]), np.array([0, 2]))
+        assert_column(
+            merge_keys(np.array([1], dtype=np.int64), narrow[::2]),
+            np.array([1, 3]),
+        )
+
+    def test_result_is_fresh(self):
+        for values in ([], [4], [1, 2, 3]):
+            keys = np.asarray(values, dtype=np.int64)
+            result = sorted_unique(keys)
+            assert not np.shares_memory(result, keys)
+            assert result.flags.writeable
+
+    def test_pack_pairs_column_survives_sorted_unique_keys(self):
+        first = np.array([3, 1, 3], dtype=np.int64)
+        second = np.array([0, 2, 0], dtype=np.int64)
+        keys = sorted_unique_keys(first, second)
+        assert first.tolist() == [3, 1, 3] and second.tolist() == [0, 2, 0]
+        assert keys.tolist() == [(1 << 32) | 2, 3 << 32]
+
+    def test_store_column_survives_a_batch_merge(self):
+        store = PairStore(domain_size=10)
+        store.add_batch([4, 1], [2, 3])
+        held = store.keys
+        snapshot = held.copy()
+        store.add_batch([0, 4, 9, 0], [0, 2, 9, 0])
+        assert np.array_equal(held, snapshot)
+        assert len(store) == 4
+        store.self_check()
+
+
+SCENARIOS = ["bib", "lsn", "sp", "wd"]
+
+
+def assert_equals_reference(graph, reference) -> None:
+    assert graph.statistics() == reference.statistics()
+    for label in reference.labels():
+        for ours, theirs in zip(
+            graph.edge_arrays(label), reference.edge_arrays(label)
+        ):
+            assert np.array_equal(ours, theirs), label
+
+
+@pytest.fixture
+def forbid_unique(monkeypatch):
+    """Write-path probe: ``with forbid_unique():`` makes ``np.unique`` raise.
+
+    Scoped, so the oracle and the final comparisons may still use it.
+    """
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.unique reached from the write path")
+
+    @contextmanager
+    def scope():
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "unique", forbidden)
+            yield
+
+    return scope
+
+
+class TestWritePathAvoidsNpUnique:
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_generate_graph(self, scenario, forbid_unique):
+        config = GraphConfiguration(2000, scenario_schema(scenario))
+        reference = ReferenceLabeledGraph(config)
+        for label, sources, targets in generate_edge_stream(config, seed=5):
+            reference.add_edges(label, sources, targets)
+        with forbid_unique():
+            graph = generate_graph(config, seed=5)
+            graph.self_check()
+        assert_equals_reference(graph, reference)
+
+    def test_add_edges_with_duplicates(self, bib_config, forbid_unique):
+        graph = LabeledGraph(bib_config)
+        with forbid_unique():
+            assert graph.add_edges("a", [3, 1, 3, 1, 2], [4, 0, 4, 0, 2]) == 3
+            assert graph.add_edges("a", [2, 5, 5], [2, 1, 1]) == 1
+            graph.self_check()
+        assert graph.edges_with_label("a") == [(1, 0), (2, 2), (3, 4), (5, 1)]
+
+    def test_read_edge_list_round_trip(self, bib_graph, tmp_path, forbid_unique):
+        path = tmp_path / "graph.txt"
+        write_edge_list(bib_graph, path)
+        with forbid_unique():
+            restored = read_edge_list(path, bib_graph.config)
+            restored.self_check()
+        assert sorted(restored.triples()) == sorted(bib_graph.triples())
+
+    def test_relation_from_arrays(self, forbid_unique):
+        with forbid_unique():
+            relation = BinaryRelation.from_arrays([5, 2, 5, 2], [1, 9, 1, 8])
+        assert relation.pairs() == {(2, 8), (2, 9), (5, 1)}
+
+
+class TestBulkInsertValidation:
+    """``add_edges`` is reachable from a file through ``read_edge_list``."""
+
+    def test_unequal_lengths_do_not_broadcast(self, bib_config):
+        graph = LabeledGraph(bib_config)
+        with pytest.raises(ValueError, match=r"label 'x'.*equal length"):
+            graph.add_edges("x", [1, 2, 3], [4])
+        with pytest.raises(ValueError, match=r"label 'x'.*equal length"):
+            graph.add_edges("x", [], [4])
+        assert graph.edge_count == 0
+
+    def test_two_dimensional_columns_are_rejected(self, bib_config):
+        graph = LabeledGraph(bib_config)
+        with pytest.raises(ValueError, match=r"label 'x'.*1-D"):
+            graph.add_edges("x", [[1, 2], [3, 4]], [[5, 6], [7, 8]])
+        assert graph.edge_count == 0
+
+    def test_ids_beyond_the_domain_fail_at_the_insert(self, bib_config):
+        graph = LabeledGraph(bib_config)
+        n = graph.n
+        with pytest.raises(ValueError) as raised:
+            graph.add_edges("y", [n + 4000], [4])
+        message = str(raised.value)
+        assert "'y'" in message and f"[0, {n})" in message
+        assert f"[{n + 4000}, {n + 4000}]" in message
+        with pytest.raises(ValueError, match=r"label 'y'"):
+            graph.add_edges("y", [1], [-1])
+        graph.add_edges("y", [n - 1], [0])
+        assert graph.out_degrees("y")[n - 1] == 1
+
+    def test_rejected_batch_leaves_the_store_untouched(self):
+        store = PairStore(domain_size=10)
+        store.add_batch([1], [2])
+        with pytest.raises(ValueError, match=r"\[0, 10\)"):
+            store.add_batch([3, 10], [4, 5])
+        assert len(store) == 1
+        store.self_check()
+        unbounded = PairStore()
+        assert unbounded.add_batch([MAX_ID - 1], [0]) == 1
+        with pytest.raises(ValueError):
+            unbounded.add_batch([MAX_ID], [0])
+
+    def test_edge_file_exceeding_its_configuration(self, bib_config, tmp_path):
+        path = tmp_path / "too_big.txt"
+        n = bib_config.total_nodes
+        path.write_text(f"0 cites 1\n{n + 7} cites 2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"label 'cites'.*\[0, {n + 7}\]"):
+            read_edge_list(path, bib_config)
