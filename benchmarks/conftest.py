@@ -14,13 +14,8 @@ are chosen so the whole suite completes in minutes of pure Python; set
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
-import platform
-import subprocess
-import sys
-from datetime import datetime, timezone
 
 import pytest
 
@@ -39,92 +34,6 @@ QUERIES_PER_CLASS = 10 if FULL else 3
 
 #: Generation sizes for Table 3 (paper: 100K–100M).
 GENERATION_SIZES = [100_000, 1_000_000, 10_000_000] if FULL else [10_000, 100_000, 1_000_000]
-
-
-def bench_metadata() -> dict:
-    """Provenance stamp shared by every ``BENCH_*.json`` artifact."""
-    import numpy
-
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            cwd=pathlib.Path(__file__).resolve().parent,
-            timeout=10,
-        ).stdout.strip() or None
-    except OSError:
-        sha = None
-    return {
-        "git_sha": sha,
-        "timestamp_utc": datetime.now(timezone.utc).isoformat(),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "cpu_count": os.cpu_count(),
-        "platform": platform.platform(),
-    }
-
-
-def write_bench_artifact(path: pathlib.Path, results: dict) -> None:
-    """Write a ``BENCH_*.json`` with provenance + per-stage metrics.
-
-    Embeds :func:`bench_metadata` and a snapshot of the observability
-    :data:`~repro.observability.metrics.METRICS` registry (stage
-    latencies, counter totals accumulated during the run), so every
-    artifact records what ran, where, and how the time broke down.
-    """
-    from repro.observability.metrics import METRICS
-
-    results = dict(results)
-    results["metadata"] = bench_metadata()
-    results["metrics"] = METRICS.snapshot()
-    path.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
-
-
-def disabled_probe() -> None:
-    """Assert the observability and governance layers stay no-ops.
-
-    Part of every benchmark's floor check: the numbers are only valid
-    if tracing was dormant, no fault plan was armed, and resource
-    governance (enabled but unlimited) neither degraded execution nor
-    aborted anything while they were measured.
-    """
-    from repro.engine.automaton import build_nfa
-    from repro.engine.budget import unlimited
-    from repro.engine.frontier import frontier_regex_relation
-    from repro.execution.faults import FAULTS
-    from repro.generation.generator import generate_graph
-    from repro.observability.metrics import METRICS
-    from repro.observability.trace import TRACER
-    from repro.queries.parser import parse_regex
-    from repro.scenarios import scenario_schema
-    from repro.schema.config import GraphConfiguration
-
-    assert TRACER.enabled is False, "tracing must stay disabled in benchmarks"
-    assert FAULTS.armed is False, "no fault plan may be armed in benchmarks"
-    before_spans = TRACER.span_count
-    before_degraded = METRICS.counter("execution.degraded").value
-    before_aborts = METRICS.counter("engine.budget_aborts").value
-    graph = generate_graph(
-        GraphConfiguration(500, scenario_schema("bib")), seed=7,
-        budget=unlimited(),
-    )
-    frontier_regex_relation(build_nfa(parse_regex("authors.publishedIn")),
-                            graph, unlimited())
-    after_spans = TRACER.span_count
-    assert after_spans == before_spans, (
-        f"disabled tracer recorded {after_spans - before_spans} spans "
-        "on a hot sweep"
-    )
-    assert METRICS.counter("execution.degraded").value == before_degraded, (
-        "idle governance degraded execution during the probe sweep"
-    )
-    assert METRICS.counter("engine.budget_aborts").value == before_aborts, (
-        "idle governance aborted during the probe sweep"
-    )
-    print("disabled-tracer/governance probe: ok (0 spans, 0 degradations, "
-          "0 aborts)", file=sys.stderr)
 
 
 def publish(name: str, text: str) -> None:

@@ -134,21 +134,14 @@ def dedup_sorted(keys: np.ndarray) -> np.ndarray:
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
-def merge_keys(
-    existing: np.ndarray, extra: np.ndarray, extra_canonical: bool = False
-) -> np.ndarray:
-    """Sorted-set union of two key columns.
+def merge_keys(existing: np.ndarray, extra: np.ndarray) -> np.ndarray:
+    """Sorted-set union of two key columns (both sorted and unique).
 
-    ``extra_canonical`` declares that ``extra`` is already sorted and
-    unique (a key column), skipping its :func:`sorted_unique` pass
-    (which copies: neither input is ever mutated).  Either way, the
-    concatenation of the two sorted runs is stable-sorted —
-    timsort's galloping merge makes this near-linear in the output,
-    ~4× faster than ``np.union1d``'s full re-sort for a large existing
-    column.
+    Neither input is mutated: the concatenation of the two sorted runs
+    is stable-sorted — timsort's galloping merge makes this near-linear
+    in the output, ~4× faster than ``np.union1d``'s full re-sort for a
+    large existing column.
     """
-    if not extra_canonical:
-        extra = sorted_unique(extra)
     if existing.size == 0:
         return extra
     if extra.size == 0:
@@ -244,7 +237,7 @@ def advance_frontier(
     fresh = keys_difference(candidates, visited)
     if fresh.size == 0:
         return EMPTY_I64, visited
-    return fresh, merge_keys(visited, fresh, extra_canonical=True)
+    return fresh, merge_keys(visited, fresh)
 
 
 def segmented_weighted_choice(
@@ -395,11 +388,7 @@ class PairStore:
             _FLUSHES.inc()
             FAULTS.hit(_FP_FLUSH)
             self._set_keys(
-                merge_keys(
-                    self._keys,
-                    keys_from_pair_set(self._pending),
-                    extra_canonical=True,
-                )
+                merge_keys(self._keys, keys_from_pair_set(self._pending))
             )
             self._pending.clear()
 
@@ -431,7 +420,8 @@ class PairStore:
         _BATCH_MERGES.inc()
         FAULTS.hit(_FP_BATCH_MERGE)
         before = self._keys.size
-        self._set_keys(merge_keys(self._keys, batch))
+        batch.sort()  # in place only because pack_pairs always allocates
+        self._set_keys(merge_keys(self._keys, dedup_sorted(batch)))
         return self._keys.size - before
 
     # -- columns and indexes ------------------------------------------

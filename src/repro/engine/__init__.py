@@ -30,9 +30,7 @@ from repro.engine.algebraic import DatalogLikeEngine
 from repro.engine.sqllike import PostgresLikeEngine
 from repro.engine.bfs import SparqlLikeEngine
 from repro.engine.frontier import frontier_reachable, frontier_regex_relation
-from repro.engine.reference_bfs import ReferenceSparqlEngine
 from repro.engine.isomorphic import CypherLikeEngine
-from repro.engine.reference_isomorphic import ReferenceCypherEngine
 from repro.engine.evaluator import (
     ENGINES,
     Engine,
@@ -54,11 +52,9 @@ __all__ = [
     "DatalogLikeEngine",
     "PostgresLikeEngine",
     "SparqlLikeEngine",
-    "ReferenceSparqlEngine",
     "frontier_regex_relation",
     "frontier_reachable",
     "CypherLikeEngine",
-    "ReferenceCypherEngine",
     "ENGINES",
     "Engine",
     "engine_by_name",

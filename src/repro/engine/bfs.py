@@ -16,9 +16,8 @@ intermediate join sizes — which is why S overtakes P on quadratic
 queries and on linear queries over larger instances (Fig. 12), while
 its exploration of closures exhausts memory budgets on recursive
 workloads over bigger graphs (Table 4: S answered only the 2K
-instance).  The seed's per-source BFS is retained as
-:class:`repro.engine.reference_bfs.ReferenceSparqlEngine` (parity
-oracle + benchmark baseline).
+instance).  The seed's per-source BFS is retained as the parity oracle
+under ``tests/oracles/``.
 """
 
 from __future__ import annotations

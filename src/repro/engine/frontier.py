@@ -26,8 +26,8 @@ sources are still alive.  :func:`frontier_reachable` is the single-
 colour variant (multi-label node reachability) shared with the Cypher
 engine's variable-length patterns.
 
-The seed's per-source BFS survives in :mod:`repro.engine.reference_bfs`
-as the parity oracle and the ``bench_rpq_eval`` baseline.
+The seed's per-source BFS survives in ``tests/oracles/reference_bfs.py``
+as the parity oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 from repro.columnar import (
     EMPTY_I64,
     advance_frontier,
-    indptr_for,
     merge_keys,
     pack_pairs,
     unpack_keys,
@@ -49,7 +48,6 @@ from repro.execution.degrade import gather_pair_keys, gather_values
 from repro.execution.faults import FAULTS, fault_point
 from repro.observability.metrics import METRICS
 from repro.observability.trace import TRACER
-from repro.queries.ast import is_inverse, symbol_base
 
 _SWEEPS = METRICS.counter("frontier.sweeps")
 _FP_ADVANCE = fault_point("frontier.advance")
@@ -58,11 +56,9 @@ _FP_ADVANCE = fault_point("frontier.advance")
 class SymbolCSRCache:
     """Per-evaluation cache of ``(indptr, payload)`` pairs per symbol.
 
-    Resolves through :meth:`LabeledGraph.csr_arrays` when the backend
-    exposes it (the columnar store: zero-copy views of its lazy CSR
-    indexes) and otherwise builds the index once from ``edge_arrays``
-    (the dict-of-sets reference backend used by the parity tests).
-    ``None`` marks a symbol with no edges.
+    Resolves through :meth:`LabeledGraph.csr_arrays` (zero-copy views
+    of the columnar store's lazy CSR indexes).  ``None`` marks a symbol
+    with no edges.
     """
 
     __slots__ = ("graph", "_entries")
@@ -75,21 +71,7 @@ class SymbolCSRCache:
         entry = self._entries.get(symbol, False)
         if entry is not False:
             return entry
-        accessor = getattr(self.graph, "csr_arrays", None)
-        if accessor is not None:
-            entry = accessor(symbol)
-        else:
-            sources, targets = self.graph.edge_arrays(symbol_base(symbol))
-            if sources.size == 0:
-                entry = None
-            else:
-                if is_inverse(symbol):
-                    order = np.argsort(targets, kind="stable")
-                    first, payload = targets[order], sources[order]
-                else:
-                    first, payload = sources, targets
-                entry = (indptr_for(first, self.graph.n), payload)
-        self._entries[symbol] = entry
+        entry = self._entries[symbol] = self.graph.csr_arrays(symbol)
         return entry
 
 
@@ -108,12 +90,13 @@ def frontier_regex_relation(
     of the accepting states' visited columns *is* the answer relation —
     it adopts the packed keys zero-copy.
 
-    Matches the per-source BFS (``reference_bfs``) pair for pair.  The
-    budget is charged twice over: each raw gather size *before* its
-    arrays are materialised (the :func:`repro.columnar.expand_join`
-    convention — a runaway level stops as two searchsorted results),
-    and the cumulative count of visited product pairs per level, which
-    is what the reference charges for its ``visited`` sets.
+    Matches the per-source BFS oracle
+    (``tests/oracles/reference_bfs.py``) pair for pair.  The budget is
+    charged twice over: each raw gather size *before* its arrays are
+    materialised (the :func:`repro.columnar.expand_join` convention — a
+    runaway level stops as two searchsorted results), and the
+    cumulative count of visited product pairs per level, which is what
+    the oracle charges for its ``visited`` sets.
     """
     n = graph.n
     if n == 0:
@@ -186,9 +169,7 @@ def frontier_regex_relation(
         for state in nfa.accepting:
             state_keys = visited.get(state)
             if state_keys is not None:
-                accept_keys = merge_keys(
-                    accept_keys, state_keys, extra_canonical=True
-                )
+                accept_keys = merge_keys(accept_keys, state_keys)
         if sweep:
             sweep.set(
                 levels=levels,

@@ -34,8 +34,7 @@ selectivity-driven planning: filters before expansions, cheap
 expansions before expensive ones, Cartesian steps last.
 
 The seed's backtracking matcher survives in
-:mod:`repro.engine.reference_isomorphic` as the parity oracle and the
-``bench_iso_eval`` baseline.
+``tests/oracles/reference_isomorphic.py`` as the parity oracle.
 """
 
 from __future__ import annotations
@@ -47,10 +46,8 @@ from typing import Sequence, TypeAlias
 import numpy as np
 
 from repro.columnar import (
-    EMPTY_I64,
     keys_contain_many,
     pack_pairs,
-    sorted_unique_keys,
     unique_rows,
     unpack_keys,
 )
@@ -189,8 +186,6 @@ class _EvalContext:
 
     Every branch of every rule probes the same per-label columns, so
     one resolution per evaluation keeps the comparison about strategy.
-    Falls back gracefully on graph backends without the columnar
-    accessors (the dict-of-sets parity oracle).
     """
 
     __slots__ = ("graph", "budget", "csr", "_keys", "_counts")
@@ -206,17 +201,7 @@ class _EvalContext:
         """Sorted packed (source, target) key column of one label."""
         keys = self._keys.get(label)
         if keys is None:
-            accessor = getattr(self.graph, "edge_keys", None)
-            if accessor is not None:
-                keys = accessor(label)
-            else:
-                sources, targets = self.graph.edge_arrays(label)
-                keys = (
-                    sorted_unique_keys(sources, targets)
-                    if sources.size
-                    else EMPTY_I64
-                )
-            self._keys[label] = keys
+            keys = self._keys[label] = self.graph.edge_keys(label)
         return keys
 
     def label_count(self, label: str) -> int:
@@ -258,7 +243,7 @@ def _order_steps(
       connected alternative exists.
 
     This replaces the seed's blind connectivity greedy (retained in
-    :mod:`repro.engine.reference_isomorphic`) with the worst-case-
+    ``tests/oracles/reference_isomorphic.py``) with the worst-case-
     optimal flavour the selectivity machinery suggests: extend by the
     most selective conjunct first.
     """

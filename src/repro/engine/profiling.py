@@ -44,8 +44,7 @@ def estimate_conjunct_cardinality(
     α=0 triples are constant (1), α=2 triples the full type-pair
     product, and α=1 triples the larger *growing* endpoint population
     (a fixed-cardinality endpoint contributes a constant factor).
-    ``None`` when the graph carries no schema configuration (the
-    dict-of-sets parity backends).
+    ``None`` when the graph carries no schema configuration.
     """
     config = getattr(graph, "config", None)
     if config is None or getattr(config, "schema", None) is None:

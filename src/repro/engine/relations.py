@@ -100,10 +100,7 @@ class BinaryRelation:
             return cls()
         if is_inverse(symbol):
             return cls._from_keys(sorted_unique_keys(targets, sources))
-        edge_keys = getattr(graph, "edge_keys", None)
-        if edge_keys is not None:
-            return cls._from_keys(edge_keys(label))
-        return cls._from_keys(sorted_unique_keys(sources, targets))
+        return cls._from_keys(graph.edge_keys(label))
 
     @classmethod
     def identity(cls, nodes: Iterable[int]) -> "BinaryRelation":
@@ -189,7 +186,7 @@ class BinaryRelation:
 
     def union(self, other: "BinaryRelation") -> "BinaryRelation":
         return BinaryRelation._from_keys(
-            merge_keys(self.key_array, other.key_array, extra_canonical=True)
+            merge_keys(self.key_array, other.key_array)
         )
 
     def inverse(self) -> "BinaryRelation":
@@ -247,7 +244,7 @@ class BinaryRelation:
         else:
             identity = BinaryRelation.identity(nodes).key_array
 
-        closure_keys = merge_keys(identity, base_keys, extra_canonical=True)
+        closure_keys = merge_keys(identity, base_keys)
         delta_keys = keys_difference(base_keys, identity)
         while delta_keys.size:
             budget.check_time()
@@ -265,9 +262,7 @@ class BinaryRelation:
                 )
             )
             delta_keys = keys_difference(candidates, closure_keys)
-            closure_keys = merge_keys(
-                closure_keys, delta_keys, extra_canonical=True
-            )
+            closure_keys = merge_keys(closure_keys, delta_keys)
         return BinaryRelation._from_keys(closure_keys)
 
     def restrict_sources(self, allowed: set[int]) -> "BinaryRelation":

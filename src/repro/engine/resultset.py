@@ -339,12 +339,10 @@ class ResultSet(AbstractSet):
         if self._nrows == 0:
             return other
         if self._arity == 2:
-            return ResultSet.from_keys(
-                merge_keys(self._keys, other._keys, extra_canonical=True)
-            )
+            return ResultSet.from_keys(merge_keys(self._keys, other._keys))
         if self._arity == 1:
             return ResultSet.from_column(
-                merge_keys(self.arrays()[0], other.arrays()[0], extra_canonical=True),
+                merge_keys(self.arrays()[0], other.arrays()[0]),
                 canonical=True,
             )
         if self._arity == 0:

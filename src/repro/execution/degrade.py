@@ -108,7 +108,7 @@ def gather_pair_keys(
         keys = np.unique(
             pack_pairs(sources[start:stop][probe_index], successors)
         )
-        merged = merge_keys(merged, keys, extra_canonical=True)
+        merged = merge_keys(merged, keys)
         budget.check_rows(merged.size)
         budget.check_bytes(merged.nbytes)
         budget.check_time()
@@ -146,7 +146,7 @@ def gather_values(
         chunks += 1
         if successors.size == 0:
             continue
-        merged = merge_keys(merged, np.unique(successors), extra_canonical=True)
+        merged = merge_keys(merged, np.unique(successors))
         budget.check_rows(merged.size)
         budget.check_time()
     budget.record_degraded(site, rows=total, chunks=chunks)

@@ -7,7 +7,6 @@ edge-list formats for external systems.
 """
 
 from repro.generation.graph import LabeledGraph, GraphStatistics
-from repro.generation.reference import ReferenceLabeledGraph
 from repro.generation.generator import (
     generate_graph,
     generate_edge_stream,
@@ -30,7 +29,6 @@ __all__ = [
     "write_graph",
     "LabeledGraph",
     "GraphStatistics",
-    "ReferenceLabeledGraph",
     "generate_graph",
     "generate_edge_stream",
     "GraphGenerator",

@@ -24,9 +24,8 @@ Storage layers, in materialisation order:
    wraps the same columns zero-copy via
    :meth:`~repro.engine.relations.BinaryRelation.from_arrays`.
 
-The dict-of-sets implementation this replaced survives as
-:class:`repro.generation.reference.ReferenceLabeledGraph` and backs the
-parity property tests and the build benchmark's baseline.
+The dict-of-sets implementation this replaced survives as the parity
+oracle under ``tests/oracles/``.
 """
 
 from __future__ import annotations

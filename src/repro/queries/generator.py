@@ -89,13 +89,12 @@ class WorkloadGenerator:
         self,
         configuration: WorkloadConfiguration,
         seed: int | np.random.Generator | None = None,
-        sampler_factory=PathSampler,
     ):
         self.configuration = configuration
         self.schema = configuration.graph.schema
         self.rng = ensure_rng(seed)
         self.schema_graph = SchemaGraph(self.schema)
-        self.sampler = sampler_factory(self.schema_graph)
+        self.sampler = PathSampler(self.schema_graph)
         self.estimator = SelectivityEstimator(self.schema)
         size = configuration.query_size
         self.selectivity_graph = SelectivityGraph(
@@ -112,7 +111,6 @@ class WorkloadGenerator:
         # key alone, so an infeasible key stays infeasible for the
         # whole generation.
         self._pools: dict[tuple, list | None] = {}
-        self._batch_native = bool(getattr(self.sampler, "batch_native", False))
         # Block-drawn interval samples (i.i.d., consumed from the end).
         self._interval_draws: dict[tuple[int, int], list[int]] = {}
         self._singleton_ids: dict[int, np.ndarray] = {}
@@ -290,13 +288,8 @@ class WorkloadGenerator:
         statistically identical to sampling one path per call — but a
         single vectorized batch covers a query's whole retry budget and
         is shared across every query with the same (shape, selectivity)
-        needs.  Samplers without native batching (the reference oracle)
-        are driven one call per draw, their seed-era pattern.
+        needs.
         """
-        if not self._batch_native:
-            return self.sampler.sample_path_in_range(
-                starts, targets, l_min, l_max, self.rng, relax_to=relax_to
-            )
         entry = self._pools.get(key, ())
         if entry is None:
             return None

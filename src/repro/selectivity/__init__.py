@@ -16,8 +16,6 @@ The machinery that lets gMark target *constant*, *linear*, or
   (Fig. 9);
 * :mod:`~repro.selectivity.path_sampler` — matrix ``nb_path``
   saturation and uniform batch path sampling (§5.2.4);
-  :mod:`~repro.selectivity.reference_sampler` — the seed-era dict
-  sampler, kept as the parity oracle and benchmark baseline;
 * :mod:`~repro.selectivity.estimator` — selectivity estimation for
   arbitrary binary UCRPQs via the algebra.
 """
@@ -44,7 +42,6 @@ from repro.selectivity.path_sampler import (
     PathSampler,
     SampledPath,
 )
-from repro.selectivity.reference_sampler import ReferencePathSampler
 from repro.selectivity.estimator import SelectivityEstimator
 
 __all__ = [
@@ -64,7 +61,6 @@ __all__ = [
     "DistanceMatrix",
     "SelectivityGraph",
     "PathSampler",
-    "ReferencePathSampler",
     "NbPathOverflowWarning",
     "SampledPath",
     "SelectivityEstimator",

@@ -30,10 +30,8 @@ Everything runs on the schema graph's indexed view:
   walker's successor run + one segmented cumulative-weight
   ``searchsorted``; :func:`repro.columnar.segmented_weighted_choice`).
 
-The seed-era dict implementation survives unchanged as
-:class:`repro.selectivity.reference_sampler.ReferencePathSampler` — the
-parity/uniformity oracle and the workload-generation benchmark
-baseline.
+The seed-era dict implementation survives unchanged as the
+parity/uniformity oracle under ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -119,9 +117,6 @@ class PathSampler:
     repeated sampling for the same selectivity class costs one
     saturation pass regardless of how many lengths are requested.
     """
-
-    #: Batch draws are vectorized; the workload generator pools them.
-    batch_native = True
 
     def __init__(self, schema_graph: SchemaGraph):
         self.schema_graph = schema_graph

@@ -21,8 +21,8 @@ endpoint here is either read-only or idempotent (``POST /v1/jobs``
 deduplicates by payload digest server-side), so a retried submit can
 never double-run work.
 
-Used by ``gmark jobs``, ``benchmarks/bench_service.py``, and the CI
-restart-recovery smoke.
+Used by ``gmark jobs``, the performance ledger's serving workloads, and
+the CI restart-recovery smoke.
 """
 
 from __future__ import annotations

@@ -3,19 +3,17 @@
 This is the seed implementation the columnar CSR core of
 :mod:`repro.generation.graph` replaced: edges live per label in
 ``source -> set(targets)`` / ``target -> set(sources)`` dictionaries
-built one edge at a time.  It is kept (not exported by default) for:
-
-* the **parity property tests** — identical ``statistics()``, degree
-  arrays, ``neighbours`` results, and engine answer sets on seeded
-  instances prove the CSR backend is a drop-in replacement;
-* the **build benchmark baseline** — ``bench_graph_build`` measures the
-  columnar speedup against this per-edge insertion path.
+built one edge at a time.  It is kept, as a test fixture, for the
+**parity property tests** — identical ``statistics()``, degree arrays,
+``neighbours`` results, and engine answer sets on seeded instances
+prove the CSR backend is a drop-in replacement.
 
 The public API mirrors :class:`~repro.generation.graph.LabeledGraph`,
-including the ``*_array`` accessors (materialised from the sets on
-demand), so every engine runs unchanged on either backend.  Navigation
-methods return fresh sets on hit and miss alike — the seed's behaviour
-of leaking its internal mutable sets on the hit path is fixed here too.
+including the ``*_array``, ``edge_keys`` and ``csr_arrays`` accessors
+(materialised from the sets on demand), so every engine runs unchanged
+on either backend.  Navigation methods return fresh sets on hit and
+miss alike — the seed's behaviour of leaking its internal mutable sets
+on the hit path is fixed here too.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.columnar import EMPTY_I64
+from repro.columnar import EMPTY_I64, indptr_for, pack_pairs
 from repro.generation.graph import GraphStatistics
 from repro.schema.config import GraphConfiguration
 
@@ -124,6 +122,20 @@ class ReferenceLabeledGraph:
             return EMPTY_I64, EMPTY_I64
         arr = np.asarray(pairs, dtype=np.int64)
         return arr[:, 0], arr[:, 1]
+
+    def edge_keys(self, label: str) -> np.ndarray:
+        """Packed sorted (source, target) key column of one label."""
+        return pack_pairs(*self.edge_arrays(label))
+
+    def csr_arrays(self, symbol: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(indptr, payload)`` CSR index of one ``Sigma±`` symbol."""
+        first, payload = self.edge_arrays(symbol.removesuffix("-"))
+        if first.size == 0:
+            return None
+        if symbol.endswith("-"):
+            order = np.argsort(payload, kind="stable")
+            first, payload = payload[order], first[order]
+        return indptr_for(first, self.n), payload
 
     def out_degree(self, node: int, label: str) -> int:
         return len(self.successors(node, label))

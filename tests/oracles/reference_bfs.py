@@ -4,13 +4,9 @@ This is the scalar strategy :class:`repro.engine.bfs.SparqlLikeEngine`
 replaced: compile the conjunct regex to an NFA and, *per source node*,
 run a Python BFS over the product of the graph and the automaton,
 marking visited (node, state) pairs one at a time.  It is kept (not
-registered in the engine registry) for:
-
-* the **parity property tests** — the frontier sweep must return the
-  identical relation on random graphs × random UCRPQ shapes
-  (``tests/test_frontier_parity.py``);
-* the **evaluation benchmark baseline** — ``bench_rpq_eval`` measures
-  the frontier engine's speedup against this per-source loop.
+registered in the engine registry) for the **parity property tests** —
+the frontier sweep must return the identical relation on random
+graphs × random UCRPQ shapes (``tests/test_frontier_parity.py``).
 """
 
 from __future__ import annotations

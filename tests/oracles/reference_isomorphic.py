@@ -6,14 +6,11 @@ rule into match branches, order steps with a blind connectivity greedy,
 and backtrack one variable assignment at a time through Python dicts,
 threading a ``frozenset`` of used edge ids to enforce openCypher's
 relationship uniqueness.  It is kept (not registered in the engine
-registry) for:
-
-* the **parity property tests** — the columnar binding-table join must
-  return the identical answer set on random graphs × query shapes,
-  including the edge-isomorphic dedup and the §7.1 restricted-recursion
-  workaround's deliberate gaps (``tests/test_iso_parity.py``);
-* the **evaluation benchmark baseline** — ``bench_iso_eval`` measures
-  the binding-table join's speedup against this backtracking loop.
+registry) for the **parity property tests** — the columnar
+binding-table join must return the identical answer set on random
+graphs × query shapes, including the edge-isomorphic dedup and the
+§7.1 restricted-recursion workaround's deliberate gaps
+(``tests/test_iso_parity.py``).
 
 Branch construction (disjunct expansion, the §7.1 label approximation)
 is shared with the vectorized engine — both must evaluate the *same*
@@ -125,7 +122,7 @@ def _order_steps(steps: list[_Step]) -> list[_Step]:
     Connectivity-only — no cardinality information.  The vectorized
     engine's :func:`repro.engine.isomorphic._order_steps` replaces this
     with a selectivity-driven order; the seed heuristic stays here so
-    the benchmark baseline measures the seed strategy unchanged.
+    the oracle is the seed strategy unchanged.
     """
     remaining = list(steps)
     ordered: list[_Step] = []

@@ -5,18 +5,13 @@ This is the pre-vectorization implementation of §5.2.4 sampling: the
 by ``(target set, max length)`` pairs (so every distinct length
 re-saturates and re-caches a whole table — the cache-churn behaviour
 the vectorized sampler fixes), and each draw is one Python walk with a
-per-successor accumulation.  It exists for two reasons:
-
-* **parity oracle** — ``tests/test_sampler_parity.py`` checks that the
-  batch sampler draws from exactly the same valid-path support, with
-  the same uniform distribution and the same relaxation behaviour;
-* **benchmark baseline** — ``benchmarks/bench_workload_gen.py`` runs
-  the whole workload generator against this sampler to measure the
-  end-to-end speedup of the vectorized pipeline.
+per-successor accumulation.  It exists as the **parity oracle** —
+``tests/test_sampler_parity.py`` checks that the batch sampler draws
+from exactly the same valid-path support, with the same uniform
+distribution and the same relaxation behaviour.
 
 The batch entry points (``sample_paths`` / ``sample_paths_in_range``)
-are plain Python loops over the single-draw methods, so the workload
-generator can drive either sampler through one interface.
+are plain Python loops over the single-draw methods.
 """
 
 from __future__ import annotations
@@ -32,11 +27,6 @@ from repro.selectivity.schema_graph import SchemaGraph, SchemaGraphNode
 
 class ReferencePathSampler:
     """Dict-table ``nb_path`` counting and per-path weighted walks."""
-
-    #: The workload generator pre-draws path batches only for samplers
-    #: that vectorise them; this one is driven one call per draw, the
-    #: seed-era pattern it is the baseline for.
-    batch_native = False
 
     def __init__(self, schema_graph: SchemaGraph):
         self.schema_graph = schema_graph

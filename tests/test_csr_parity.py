@@ -2,7 +2,7 @@
 
 The CSR :class:`~repro.generation.graph.LabeledGraph` must be a
 behavioural drop-in for the retained
-:class:`~repro.generation.reference.ReferenceLabeledGraph` — identical
+:class:`~oracles.reference.ReferenceLabeledGraph` — identical
 ``statistics()``, degree arrays, ``neighbours`` results, and engine
 answer sets on seeded instances — and both backends (plus
 ``BinaryRelation``) must be safe against callers mutating returned
@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.reference import ReferenceLabeledGraph
 from repro.engine.evaluator import evaluate_query
 from repro.engine.relations import BinaryRelation
 from repro.generation.generator import generate_edge_stream
 from repro.generation.graph import LabeledGraph
-from repro.generation.reference import ReferenceLabeledGraph
 from repro.queries.parser import parse_query
 from repro.scenarios import scenario_schema
 from repro.schema.config import GraphConfiguration
@@ -38,7 +38,7 @@ def build_pair(scenario: str, n: int, seed: int):
     return columnar, reference
 
 
-@pytest.fixture(scope="module", params=["bib", "lsn"])
+@pytest.fixture(scope="module", params=["bib", "lsn", "sp"])
 def backend_pair(request):
     return build_pair(request.param, n=400, seed=11)
 

@@ -65,7 +65,7 @@ class TestEngineRegistry:
 
 
 def _rule_loop_engines():
-    from repro.engine.reference_bfs import ReferenceSparqlEngine
+    from oracles.reference_bfs import ReferenceSparqlEngine
 
     return [e for e in ENGINES.values() if e.homomorphic] + [ReferenceSparqlEngine()]
 
@@ -135,11 +135,14 @@ class TestHomomorphicAgreement:
             assert result == reference, name
 
     def test_count_distinct_matches_evaluate(self, graph):
-        query = parse_query(QUERIES[2])
-        for name in HOMOMORPHIC:
-            assert count_distinct(query, graph, name) == len(
-                evaluate_query(query, graph, name)
-            )
+        # Every shape but QUERIES[5]: P's naive fixpoint on it costs
+        # seconds, and QUERIES[9] already covers recursion.
+        for text in QUERIES[:5] + QUERIES[6:]:
+            query = parse_query(text)
+            for name in HOMOMORPHIC:
+                assert count_distinct(query, graph, name) == len(
+                    evaluate_query(query, graph, name)
+                ), (name, text)
 
     @given(seed=st.integers(0, 200))
     @settings(

@@ -2,7 +2,7 @@
 
 The frontier :class:`~repro.engine.bfs.SparqlLikeEngine` must return
 the identical relation as the retained
-:class:`~repro.engine.reference_bfs.ReferenceSparqlEngine` on random
+:class:`~oracles.reference_bfs.ReferenceSparqlEngine` on random
 graphs × random UCRPQ shapes (including inverse symbols, disjunction,
 and outermost Kleene star), on both graph backends; and the three
 homomorphic engines (P, S, D) must agree on generated non-recursive
@@ -16,13 +16,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles.reference import ReferenceLabeledGraph
+from oracles.reference_bfs import ReferenceSparqlEngine
 from repro.engine.bfs import SparqlLikeEngine
 from repro.engine.automaton import build_nfa
 from repro.engine.evaluator import evaluate_query
-from repro.engine.reference_bfs import ReferenceSparqlEngine
 from repro.generation.generator import generate_graph
 from repro.generation.graph import LabeledGraph
-from repro.generation.reference import ReferenceLabeledGraph
 from repro.queries.ast import (
     PathExpression,
     RegularExpression,

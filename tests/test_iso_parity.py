@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.reference_isomorphic import ReferenceCypherEngine
 from repro.engine.budget import EvaluationBudget, unlimited
 from repro.engine.isomorphic import CypherLikeEngine
-from repro.engine.reference_isomorphic import ReferenceCypherEngine
 from repro.engine.resultset import ResultSet
 from repro.errors import EngineBudgetExceeded
 from repro.generation.graph import LabeledGraph
@@ -81,6 +81,7 @@ SHAPES = [
     "(?x) <- (?x, a, ?y), (?y, a, ?z), (?z, a, ?x)",
     "(?x, ?y) <- (?x, a, ?y), (?y, a, ?x)",
     "(?x, ?y) <- (?x, a, ?y), (?y, a-, ?x)",
+    "(?x, ?y) <- (?x, a, ?p), (?p, a-, ?y), (?y, a, ?q), (?q, a-, ?x)",
     "(?x, ?y) <- (?x, a-.b, ?y)",
     "(?x, ?y) <- (?x, (a.b + b-), ?y)",
     "(?x) <- (?x, a, ?x)",

@@ -107,3 +107,32 @@ class TestReprs:
 
         triple = SelectivityTriple(Cardinality.N, Operation.LT, Cardinality.N)
         assert repr(triple) == "(N,<,N)"
+
+
+class TestPackaging:
+    """The seed oracles are test fixtures (``tests/oracles/``): nothing
+    in the installed package exports, registers or imports one."""
+
+    def test_package_ships_only_the_system(self):
+        import pathlib
+        import re
+
+        import repro
+        import repro.engine
+        import repro.generation
+        import repro.selectivity
+
+        for package in (repro, repro.engine, repro.generation, repro.selectivity):
+            leaked = [name for name in package.__all__ if "Reference" in name]
+            assert not leaked, (package.__name__, leaked)
+        assert set(repro.ENGINES) == {"postgres", "sparql", "cypher", "datalog"}
+        assert repro.ENGINES.aliases() == {
+            "P": "postgres", "S": "sparql", "G": "cypher", "D": "datalog"
+        }
+        imports_tests = re.compile(r"^\s*(?:from|import)\s+(?:tests|oracles)\b", re.M)
+        offenders = [
+            str(path)
+            for path in pathlib.Path(repro.__file__).parent.rglob("*.py")
+            if imports_tests.search(path.read_text(encoding="utf-8"))
+        ]
+        assert not offenders, offenders

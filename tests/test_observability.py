@@ -28,6 +28,7 @@ from repro.engine.evaluator import ENGINES, evaluate_query
 from repro.engine.frontier import frontier_regex_relation
 from repro.engine.automaton import build_nfa
 from repro.errors import EngineBudgetExceeded
+from repro.execution.faults import FAULTS
 from repro.observability import (
     METRICS,
     NOOP_SPAN,
@@ -111,11 +112,15 @@ class TestTracer:
 
     def test_disabled_noop_probe_on_hot_sweep(self, bib_graph):
         """The benchmark floor probe: a full sweep records zero spans."""
-        assert TRACER.enabled is False
+        assert TRACER.enabled is False and FAULTS.armed is False
+        idle = ("execution.degraded", "engine.budget_aborts")
+        before = [METRICS.counter(name).value for name in idle]
         nfa = build_nfa(parse_regex("authors.publishedIn"))
         relation = frontier_regex_relation(nfa, bib_graph, unlimited())
         assert len(relation) > 0
         assert TRACER.span_count == 0
+        # Governance armed but unlimited neither degrades nor aborts.
+        assert [METRICS.counter(name).value for name in idle] == before
 
     def test_enabled_sweep_records_level_breakdown(self, bib_graph):
         nfa = build_nfa(parse_regex("authors.publishedIn"))

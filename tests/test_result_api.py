@@ -24,8 +24,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles.reference_bfs import ReferenceSparqlEngine
 from repro.engine import ENGINES, ResultSet, count_distinct, evaluate_query
-from repro.engine.reference_bfs import ReferenceSparqlEngine
 from repro.errors import EngineError, TranslationError
 from repro.generation.generator import generate_graph
 from repro.generation.graph import LabeledGraph

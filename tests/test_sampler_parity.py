@@ -2,7 +2,7 @@
 
 The vectorized :class:`~repro.selectivity.path_sampler.PathSampler`
 must be *indistinguishable* from the retained
-:class:`~repro.selectivity.reference_sampler.ReferencePathSampler`
+:class:`~oracles.reference_sampler.ReferencePathSampler`
 except for speed:
 
 * identical ``nb_path`` counts (exact integers below the overflow
@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles.reference_sampler import ReferencePathSampler
 from repro.queries.generator import WorkloadGenerator
 from repro.queries.shapes import QueryShape
 from repro.queries.size import QuerySize
@@ -35,7 +36,6 @@ from repro.schema.distributions import (
 )
 from repro.schema.schema import GraphSchema
 from repro.selectivity.path_sampler import NbPathOverflowWarning, PathSampler
-from repro.selectivity.reference_sampler import ReferencePathSampler
 from repro.selectivity.schema_graph import SchemaGraph
 
 
@@ -457,20 +457,3 @@ class TestWorkloadDeterminism:
         assert texts_first == texts_second
         third = WorkloadGenerator(config, 124).generate()
         assert texts_first != [q.query.to_text() for q in third]
-
-    def test_reference_driven_generator_reproduces_too(self, bib):
-        config = WorkloadConfiguration(
-            GraphConfiguration(2000, bib),
-            size=12,
-            shapes=(QueryShape.CHAIN,),
-            query_size=QuerySize(conjuncts=(1, 2), disjuncts=(1, 2), length=(1, 3)),
-        )
-        first = WorkloadGenerator(
-            config, 9, sampler_factory=ReferencePathSampler
-        ).generate()
-        second = WorkloadGenerator(
-            config, 9, sampler_factory=ReferencePathSampler
-        ).generate()
-        assert [q.query.to_text() for q in first] == [
-            q.query.to_text() for q in second
-        ]

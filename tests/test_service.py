@@ -37,7 +37,7 @@ import pytest
 
 from repro.errors import ExecutionCancelled
 from repro.execution.budget import CancellationToken
-from repro.execution.context import AbortReport
+from repro.execution.context import AbortReport, ExecutionContext
 from repro.execution.faults import FAULTS, InjectedFault
 from repro.observability.metrics import METRICS
 from repro.service import (
@@ -62,6 +62,7 @@ from repro.service.protocol import (
     graph_key,
     workload_key,
 )
+from repro.session import Session
 
 NODES = 300  # small enough that a generation is fast, big enough to answer
 
@@ -467,9 +468,9 @@ class TestLiveService:
         assert key(_ndjson(datalog)[1:]) == key(_ndjson(letter)[1:])
 
     def test_partial_budget_streams_incomplete_result(self, service):
+        query = "(?x, ?y) <- (?x, authors.publishedIn, ?y)"
         status, _, body = _request(service.port, "POST", "/v1/evaluate", {
-            "scenario": "bib", "nodes": NODES, "seed": 41,
-            "query": "(?x, ?y) <- (?x, authors.publishedIn, ?y)",
+            "scenario": "bib", "nodes": NODES, "seed": 41, "query": query,
             "max_rows": 1, "on_budget": "partial",
         })
         assert status == 200
@@ -480,6 +481,12 @@ class TestLiveService:
         report = AbortReport.from_json(json.dumps(trailer))
         assert report.resource == "rows"
         assert header["rows"] == len(records) - 2  # header + rows + abort
+        # A cold in-process Session under the same cap stops at the same
+        # place: the service shares the instance, not a different answer.
+        cold = Session.from_scenario("bib", nodes=NODES, seed=41).evaluate(
+            query, budget=ExecutionContext(max_rows=1, on_budget="partial")
+        )
+        assert (cold.count(), cold.complete) == (header["rows"], False)
 
     def test_raise_budget_is_503_with_report_body(self, service):
         status, headers, body = _request(service.port, "POST", "/v1/evaluate", {

@@ -84,6 +84,11 @@ class TestWriters:
         path = tmp_path / "graph.txt"
         written = write_edge_list(bib_graph, path)
         assert written == bib_graph.edge_count
+        assert path.read_text(encoding="utf-8") == "".join(
+            f"{source} {label} {target}\n"
+            for label in bib_graph.labels()
+            for source, target in bib_graph.edges_with_label(label)
+        )
         restored = read_edge_list(path, bib_graph.config)
         assert sorted(restored.triples()) == sorted(bib_graph.triples())
 
