@@ -10,9 +10,10 @@ everything else is built from:
 * packing/unpacking between pair columns and keys;
 * sorted-set algebra (union, difference, merge) via ``sort()`` + an
   adjacent-difference mask (:func:`sorted_unique`) and
-  ``np.searchsorted`` — not ``np.unique``, whose hash path on NumPy
-  >= 2.3 is 3x (n = 100) to 27x (n = 400 k) slower on ``int64`` keys
-  (measured on 2.4.6);
+  ``np.searchsorted`` — on the write side and the read side alike (the
+  frontier sweep, seeds, closures, result normalisation) — not
+  ``np.unique``, whose hash path on NumPy >= 2.3 is 3x (n = 100) to 27x
+  (n = 400 k) slower on ``int64`` keys (measured on 2.4.6);
 * CSR-style slicing: because keys sort lexicographically by the first
   column, the unpacked ``first`` column is itself sorted, so the pairs
   of one source are a contiguous slice found by binary search — no
@@ -96,9 +97,9 @@ def unpack_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sorted_unique(keys) -> np.ndarray:
     """Sorted unique ``int64`` column of any integer array-like.
 
-    The write side's one normalisation kernel: copy, in-place
-    ``sort()``, adjacent mask.  The input (a frozen store column, a
-    caller's batch) is never mutated; the result is fresh and writable.
+    The one way a 1-D column becomes a set, on the write and read side
+    alike: copy, in-place ``sort()``, adjacent mask.  The input is never
+    mutated; the result is fresh and writable.
     """
     column = np.array(keys, dtype=np.int64, order="C").reshape(-1)
     column.sort()
@@ -233,7 +234,7 @@ def advance_frontier(
     """
     if candidates.size == 0:
         return EMPTY_I64, visited
-    candidates = np.unique(candidates)
+    candidates = sorted_unique(candidates)
     fresh = keys_difference(candidates, visited)
     if fresh.size == 0:
         return EMPTY_I64, visited

@@ -31,6 +31,7 @@ from repro.columnar import (
     indptr_for,
     keys_contain_many,
     pack_pairs,
+    sorted_unique,
 )
 from repro.engine.budget import EvaluationBudget, unlimited
 from repro.engine.relations import BinaryRelation
@@ -138,7 +139,7 @@ class ClosureRelation:
         if sources is None:
             distinct = np.arange(self.node_count, dtype=np.int64)
         else:
-            distinct = np.unique(sources)
+            distinct = sorted_unique(sources)
             distinct = distinct[distinct < self.node_count]
         budget.check_time()
         _, source_index, reach_index = expand_join(
@@ -192,8 +193,8 @@ def _component_reach(
     """Reflexive reachability over the condensation DAG.
 
     Post-order DFS with memoised descendant sets held as sorted id
-    columns, so each component's reach is one ``np.unique`` over its
-    successors' — the same sorted-set algebra as the frontier kernels.
+    columns, so each component's reach is one :func:`sorted_unique` over
+    its successors' — the same sorted-set algebra as the frontier kernels.
     """
     reach: dict[int, np.ndarray] = {}
     state = np.zeros(component_count, dtype=np.int8)  # 0 new, 1 open, 2 done
@@ -216,7 +217,7 @@ def _component_reach(
                 successors = dag_successors.get(component, ())
                 own = np.array([component], dtype=np.int64)
                 if successors:
-                    reach[component] = np.unique(
+                    reach[component] = sorted_unique(
                         np.concatenate([own] + [reach[s] for s in successors])
                     )
                 else:

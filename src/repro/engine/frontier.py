@@ -14,9 +14,9 @@ per level in a handful of numpy passes:
 2. **route** — candidates are packed ``(source, node)`` keys and
    appended to every NFA target state of the transition;
 3. **dedup + difference + merge** —
-   :func:`repro.columnar.advance_frontier` drops duplicates and
-   already-visited keys and merges the rest into the state's visited
-   column.
+   :func:`repro.columnar.advance_frontier` drops duplicates (sort +
+   adjacent mask, :func:`~repro.columnar.sorted_unique`) and
+   already-visited keys and merges the rest into the visited column.
 
 :func:`frontier_regex_relation` runs the product automaton of a
 compiled NFA and the graph for *all* sources simultaneously: the
@@ -39,6 +39,7 @@ from repro.columnar import (
     advance_frontier,
     merge_keys,
     pack_pairs,
+    sorted_unique,
     unpack_keys,
 )
 from repro.engine.automaton import NFA
@@ -195,7 +196,7 @@ def frontier_reachable_pairs(
     variable-length steps with a bound endpoint — the result's sorted
     source column joins against the table with one ``searchsorted``.
     """
-    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+    seeds = sorted_unique(seeds)
     if seeds.size == 0:
         return EMPTY_I64
     _SWEEPS.inc()
@@ -252,7 +253,7 @@ def frontier_reachable(
     pair keys, one CSR gather per (level, symbol).  Returns the sorted
     visited column (read-only semantics; callers own the array).
     """
-    visited = np.unique(np.asarray(seeds, dtype=np.int64))
+    visited = sorted_unique(seeds)
     frontier = visited
     while frontier.size:
         budget.check_time()

@@ -46,8 +46,11 @@ from typing import Sequence, TypeAlias
 import numpy as np
 
 from repro.columnar import (
+    expand_indptr,
+    expand_join,
     keys_contain_many,
     pack_pairs,
+    sorted_unique,
     unique_rows,
     unpack_keys,
 )
@@ -61,7 +64,6 @@ from repro.engine.frontier import (
     frontier_reachable_pairs,
     frontier_regex_relation,
 )
-from repro.columnar import expand_indptr, expand_join
 from repro.errors import EngineBudgetExceeded, EngineCapabilityError
 from repro.execution.degrade import split_ranges
 from repro.generation.graph import LabeledGraph
@@ -506,12 +508,12 @@ def _extend_var_step(
         return
 
     if src_pos is not None and trg_pos is not None:
-        seeds = np.unique(table[:, src_pos])
+        seeds = sorted_unique(table[:, src_pos])
         keys = frontier_reachable_pairs(seeds, step.labels, csr, budget)
         probe = pack_pairs(table[:, src_pos], table[:, trg_pos])
         bt.rows = table[keys_contain_many(keys, probe)]
     elif src_pos is not None:
-        seeds = np.unique(table[:, src_pos])
+        seeds = sorted_unique(table[:, src_pos])
         keys = frontier_reachable_pairs(seeds, step.labels, csr, budget)
         sources, targets = unpack_keys(keys)
         _, probe_index, build_index = expand_join(
@@ -522,7 +524,7 @@ def _extend_var_step(
         )
     elif trg_pos is not None:
         inverse_labels = tuple(inverse_symbol(label) for label in step.labels)
-        seeds = np.unique(table[:, trg_pos])
+        seeds = sorted_unique(table[:, trg_pos])
         keys = frontier_reachable_pairs(seeds, inverse_labels, csr, budget)
         targets, sources = unpack_keys(keys)
         _, probe_index, build_index = expand_join(

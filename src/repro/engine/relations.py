@@ -7,7 +7,7 @@ single-pair inserts), exactly the physical layout of the graph's
 per-label CSR stores — :meth:`BinaryRelation.from_graph_symbol` adopts
 a label's key column zero-copy.  The UCRPQ operations — union,
 composition, inverse, reflexive-transitive closure via *semi-naive*
-delta iteration — are vectorized sorted-set algebra (``np.union1d``
+delta iteration — are vectorized sorted-set algebra (``merge_keys``
 unions, sort-merge ``np.searchsorted`` joins), with budget hooks so
 runaway closures surface as
 :class:`~repro.errors.EngineBudgetExceeded`; join sizes are charged
@@ -31,10 +31,13 @@ from repro.columnar import (
     EMPTY_I64,
     PairStore,
     as_id_array,
+    dedup_sorted,
     expand_join,
+    keys_contain_many,
     keys_difference,
     merge_keys,
     pack_pairs,
+    sorted_unique,
     sorted_unique_keys,
     unpack_keys,
 )
@@ -109,7 +112,7 @@ class BinaryRelation:
             ids = np.arange(nodes.start, nodes.stop, nodes.step, dtype=np.int64)
             ids = np.sort(ids)
         else:
-            ids = np.unique(np.asarray(list(nodes), dtype=np.int64))
+            ids = sorted_unique(list(nodes))
         if ids.size == 0:
             return cls()
         return cls._from_keys(pack_pairs(ids, ids))
@@ -177,7 +180,7 @@ class BinaryRelation:
 
     def sources(self) -> np.ndarray:
         """Distinct sources (read-only sorted array)."""
-        return np.unique(self._store.first)
+        return dedup_sorted(self._store.first)
 
     def pairs(self) -> set[tuple[int, int]]:
         return set(self)
@@ -237,7 +240,7 @@ class BinaryRelation:
         base_sources = self.source_array
         base_targets = self.target_array
         if nodes is None:
-            touched = np.union1d(base_sources, base_targets)
+            touched = sorted_unique(np.concatenate((base_sources, base_targets)))
             identity = (
                 pack_pairs(touched, touched) if touched.size else EMPTY_I64
             )
@@ -256,10 +259,8 @@ class BinaryRelation:
             )
             if probe_index.size == 0:
                 break
-            candidates = np.unique(
-                pack_pairs(
-                    delta_sources[probe_index], base_targets[build_index]
-                )
+            candidates = sorted_unique_keys(
+                delta_sources[probe_index], base_targets[build_index]
             )
             delta_keys = keys_difference(candidates, closure_keys)
             closure_keys = merge_keys(closure_keys, delta_keys)
@@ -269,8 +270,7 @@ class BinaryRelation:
         """Sub-relation with sources in ``allowed`` (semi-join pushdown)."""
         if len(self) == 0 or not allowed:
             return BinaryRelation()
-        allowed_arr = np.fromiter(allowed, dtype=np.int64, count=len(allowed))
-        mask = np.isin(self.source_array, allowed_arr)
+        mask = keys_contain_many(sorted_unique(list(allowed)), self.source_array)
         return BinaryRelation._from_keys(self.key_array[mask])
 
     def __repr__(self) -> str:

@@ -48,6 +48,7 @@ from repro.columnar import (
     merge_keys,
     pack_pairs,
     rows_in,
+    sorted_unique,
     sorted_unique_keys,
     unique_rows,
     unpack_keys,
@@ -119,7 +120,7 @@ class ResultSet(AbstractSet):
         if arity == 1:
             column = np.ascontiguousarray(table[:, 0], dtype=np.int64)
             if not _strictly_increasing(column):
-                column = np.unique(column)
+                column = sorted_unique(column)
             self._init_raw(1, column.size, None, (frozen(column),))
         elif arity == 2:
             # Joins usually hand over rows in relation order (sorted by
@@ -127,7 +128,7 @@ class ResultSet(AbstractSet):
             # O(n log n) re-sort on that common path.
             keys = pack_pairs(table[:, 0], table[:, 1])
             if not _strictly_increasing(keys):
-                keys = np.unique(keys)
+                keys = sorted_unique(keys)
             self._init_raw(2, keys.size, frozen(keys), None)
         else:
             canonical = unique_rows(table)
@@ -167,11 +168,11 @@ class ResultSet(AbstractSet):
         """1-ary result from an id column.
 
         ``canonical`` declares the column already sorted and unique
-        (e.g. the output of :func:`np.unique`), skipping normalisation.
+        (e.g. the output of :func:`sorted_unique`), skipping normalisation.
         """
         column = np.ascontiguousarray(column, dtype=np.int64)
         if not canonical:
-            column = np.unique(column)
+            column = sorted_unique(column)
         return cls._raw(1, column.size, None, (frozen(column),))
 
     @classmethod

@@ -30,6 +30,8 @@ from repro.columnar import (
     expand_indptr,
     merge_keys,
     pack_pairs,
+    sorted_unique,
+    sorted_unique_keys,
 )
 from repro.execution.budget import ResourceBudget
 
@@ -50,7 +52,7 @@ def row_slices(counts: np.ndarray, chunk: int) -> Iterator[tuple[int, int]]:
         yield 0, int(counts.size)
         return
     cuts = np.searchsorted(ends, np.arange(chunk, total, chunk), side="left") + 1
-    cuts = np.unique(np.concatenate((cuts, [counts.size])))
+    cuts = sorted_unique(np.concatenate((cuts, [counts.size])))
     start = 0
     for stop in cuts.tolist():
         stop = int(stop)
@@ -105,9 +107,7 @@ def gather_pair_keys(
         chunks += 1
         if successors.size == 0:
             continue
-        keys = np.unique(
-            pack_pairs(sources[start:stop][probe_index], successors)
-        )
+        keys = sorted_unique_keys(sources[start:stop][probe_index], successors)
         merged = merge_keys(merged, keys)
         budget.check_rows(merged.size)
         budget.check_bytes(merged.nbytes)
@@ -146,7 +146,7 @@ def gather_values(
         chunks += 1
         if successors.size == 0:
             continue
-        merged = merge_keys(merged, np.unique(successors))
+        merged = merge_keys(merged, sorted_unique(successors))
         budget.check_rows(merged.size)
         budget.check_time()
     budget.record_degraded(site, rows=total, chunks=chunks)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.columnar import sorted_unique
 from repro.generation.graph import LabeledGraph
 from repro.schema.constraints import fixed, proportion
 from repro.schema.distributions import (
@@ -112,7 +113,7 @@ def extract_schema(
         source_types = np.searchsorted(starts, sources, side="right") - 1
         target_types = np.searchsorted(starts, targets, side="right") - 1
         pair_ids = source_types * len(type_names) + target_types
-        for pair_id in np.unique(pair_ids).tolist():
+        for pair_id in sorted_unique(pair_ids).tolist():
             mask = pair_ids == pair_id
             source_type = type_names[pair_id // len(type_names)]
             target_type = type_names[pair_id % len(type_names)]

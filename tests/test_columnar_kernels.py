@@ -1,11 +1,12 @@
-"""The write side's sort + adjacent-mask kernels (:mod:`repro.columnar`).
+"""The sort + adjacent-mask kernels (:mod:`repro.columnar`).
 
 ``sorted_unique`` / ``merge_keys`` / ``sorted_unique_keys`` replaced
-``np.unique`` on the write path, so what ``np.unique`` gave for free is
-pinned here: parity with the NumPy set routines on every input shape,
-the no-mutation / any-integer-input contract, a probe proving no
-write-path call reaches ``np.unique`` any more, and the validation of
-what a bulk insert is handed.
+1-D ``np.unique`` on the write path and the read path, so what
+``np.unique`` gave for free is pinned here: parity with the NumPy set
+routines on every input shape, the no-mutation / any-integer-input
+contract, probes proving no write- or read-path call reaches a 1-D
+``np.unique`` any more, and the validation of what a bulk insert is
+handed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib import _arraysetops_impl
 
 from repro.columnar import (
     MAX_ID,
@@ -25,11 +27,16 @@ from repro.columnar import (
     sorted_unique,
     sorted_unique_keys,
 )
+from repro.engine.evaluator import evaluate_query
 from repro.engine.relations import BinaryRelation
+from repro.engine.resultset import ResultSet
 from repro.generation.generator import generate_edge_stream, generate_graph
 from repro.generation.graph import LabeledGraph
 from oracles.reference import ReferenceLabeledGraph
 from repro.generation.writers import read_edge_list, write_edge_list
+from repro.queries.generator import generate_workload
+from repro.queries.shapes import QueryShape
+from repro.queries.workload import WorkloadConfiguration
 from repro.scenarios import scenario_schema
 from repro.schema.config import GraphConfiguration
 
@@ -182,18 +189,26 @@ def assert_equals_reference(graph, reference) -> None:
 
 @pytest.fixture
 def forbid_unique(monkeypatch):
-    """Write-path probe: ``with forbid_unique():`` makes ``np.unique`` raise.
+    """Write- and read-path probe: ``with forbid_unique():`` makes a 1-D
+    ``np.unique`` raise.
 
+    NumPy's own set routines (``union1d``, ``setdiff1d``, ...) call the
+    module-level ``unique`` rather than ``np.unique``, so both names are
+    patched.  ``axis=`` calls (the row-matrix sites) still delegate.
     Scoped, so the oracle and the final comparisons may still use it.
     """
+    original = np.unique
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("np.unique reached from the write path")
+    def guarded(*args, **kwargs):
+        if kwargs.get("axis") is None:
+            raise AssertionError("1-D np.unique reached")
+        return original(*args, **kwargs)
 
     @contextmanager
     def scope():
         with monkeypatch.context() as patch:
-            patch.setattr(np, "unique", forbidden)
+            patch.setattr(np, "unique", guarded)
+            patch.setattr(_arraysetops_impl, "unique", guarded)
             yield
 
     return scope
@@ -231,6 +246,52 @@ class TestWritePathAvoidsNpUnique:
         with forbid_unique():
             relation = BinaryRelation.from_arrays([5, 2, 5, 2], [1, 9, 1, 8])
         assert relation.pairs() == {(2, 8), (2, 9), (5, 1)}
+
+
+@pytest.fixture(scope="module")
+def bib_graph_400():
+    return generate_graph(GraphConfiguration(400, scenario_schema("bib")), seed=11)
+
+
+class TestReadPathAvoidsNpUnique:
+    @pytest.mark.parametrize("shape", list(QueryShape), ids=lambda s: s.value)
+    def test_s_and_d_evaluate_a_workload(self, bib_graph_400, shape, forbid_unique):
+        workload = generate_workload(
+            WorkloadConfiguration(
+                bib_graph_400.config,
+                size=4,
+                arities=(1, 2, 3),
+                shapes=(shape,),
+                recursion_probability=0.5,
+            ),
+            seed=3,
+        )
+        with forbid_unique():
+            answers = [
+                [evaluate_query(generated.query, bib_graph_400, engine)
+                 for engine in ("sparql", "datalog")]
+                for generated in workload
+            ]
+        for sparql, datalog in answers:
+            assert sparql == datalog
+
+    def test_relation_closure_and_restriction(self, forbid_unique):
+        relation = BinaryRelation.from_arrays([0, 1, 2, 5], [1, 2, 0, 5])
+        with forbid_unique():
+            closure = relation.transitive_closure()
+            restricted = closure.restrict_sources({2, 5, 9})
+        cycle = {(s, t) for s in range(3) for t in range(3)}
+        assert closure.pairs() == cycle | {(5, 5)}
+        assert restricted.pairs() == {(2, 0), (2, 1), (2, 2), (5, 5)}
+
+    def test_result_set_from_unsorted_tables(self, forbid_unique):
+        with forbid_unique():
+            column = ResultSet.from_table(np.array([[4], [1], [4], [0]]))
+            pairs = ResultSet.from_table(np.array([[3, 1], [0, 2], [3, 1]]))
+            ids = ResultSet.from_column(np.array([9, 2, 9]))
+        assert list(column) == [(0,), (1,), (4,)]
+        assert list(pairs) == [(0, 2), (3, 1)]
+        assert list(ids) == [(2,), (9,)]
 
 
 class TestBulkInsertValidation:

@@ -136,3 +136,46 @@ class TestPackaging:
             if imports_tests.search(path.read_text(encoding="utf-8"))
         ]
         assert not offenders, offenders
+
+
+class TestSetOperationAllowlist:
+    """1-D columns become sets through ``repro.columnar.sorted_unique``
+    only: ``np.unique`` survives at the ``axis=0`` row-matrix sites
+    listed here, and NumPy's set routines (which call ``np.unique``
+    inside) nowhere."""
+
+    UNIQUE_SITES = {"sqllike._dedup", "columnar.unique_rows", "columnar.rows_in"}
+    FORBIDDEN = {"union1d", "isin", "setdiff1d", "intersect1d"}
+
+    def test_np_unique_only_at_allowlisted_row_sites(self):
+        import ast
+        import pathlib
+
+        import repro
+
+        def calls(node, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield from calls(child, f"{where.split('.')[0]}.{child.name}")
+                    continue
+                if (
+                    isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id in ("np", "numpy")
+                ):
+                    yield where, child
+                yield from calls(child, where)
+
+        unique_sites, forbidden = [], []
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for where, call in calls(tree, path.stem):
+                if call.func.attr == "unique":
+                    has_axis = any(kw.arg == "axis" for kw in call.keywords)
+                    unique_sites.append((where, has_axis))
+                elif call.func.attr in self.FORBIDDEN:
+                    forbidden.append((where, call.func.attr))
+        assert not forbidden, forbidden
+        assert all(has_axis for _, has_axis in unique_sites), unique_sites
+        assert {where for where, _ in unique_sites} <= self.UNIQUE_SITES
