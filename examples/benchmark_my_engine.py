@@ -19,8 +19,9 @@ from repro import (
     generate_workload,
 )
 from repro.analysis.reporting import format_table
-from repro.engine import EvaluationBudget
+from repro.engine import EvaluationBudget, ResultSet
 from repro.engine.base import Engine, SymbolRelationCache, regex_to_relation
+from repro.engine.closure import ClosureRelation
 from repro.engine.evaluator import ENGINES
 from repro.errors import EngineError
 
@@ -30,7 +31,9 @@ class NestedLoopEngine(Engine):
 
     Subclassing :class:`repro.engine.base.Engine` is the extension
     point — implement ``evaluate`` and the whole harness (budgets,
-    timing protocol, failure accounting) applies unchanged.
+    timing protocol, failure accounting) applies unchanged.  Relations
+    are read as columns; the answer tuples go back through
+    :meth:`ResultSet.from_rows`.
     """
 
     name = "nested-loop"
@@ -47,10 +50,15 @@ class NestedLoopEngine(Engine):
             ]
             rows = [{}]
             for conjunct, relation in zip(rule.body, relations):
+                if isinstance(relation, ClosureRelation):
+                    relation = relation.restrict(None, budget)
+                pairs = list(zip(
+                    relation.source_array.tolist(), relation.target_array.tolist()
+                ))
                 next_rows = []
                 for row in rows:
                     budget.check_time()
-                    for source, target in relation:
+                    for source, target in pairs:
                         if row.get(conjunct.source, source) != source:
                             continue
                         if row.get(conjunct.target, target) != target:
@@ -62,7 +70,7 @@ class NestedLoopEngine(Engine):
                 rows = next_rows
                 budget.check_rows(len(rows))
             answers |= {tuple(row[v] for v in rule.head) for row in rows}
-        return answers
+        return ResultSet.from_rows(answers, arity=query.arity)
 
 
 def main() -> None:

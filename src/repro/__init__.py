@@ -13,8 +13,8 @@ Fig. 1 pipeline with cached artifacts and explicit seeds::
     sources, targets = result.arrays()  # zero-copy columns
 
 Evaluation returns the columnar :class:`~repro.engine.ResultSet`
-(compatible with the seed-era ``set[tuple]`` through its set shim), and
-every extension point — engines, translators, scenarios, graph writers
+(read as columns; it is not a Python set of tuples), and every
+extension point — engines, translators, scenarios, graph writers
 — is a :class:`Registry` (``ENGINES``, ``TRANSLATORS``, ``SCENARIOS``,
 ``GRAPH_WRITERS``) accepting plugins via ``register()``.  The lower
 layers remain importable directly::

@@ -33,12 +33,10 @@ from repro.observability.metrics import METRICS
 
 # Always-on store counters (one integer add each; see README glossary).
 _BATCH_MERGES = METRICS.counter("columnar.batch_merges")
-_FLUSHES = METRICS.counter("columnar.flushes")
 _CSR_BUILDS = METRICS.counter("columnar.csr_builds")
 
 # Chaos-test injection points (disarmed: one None check per hit).
 _FP_BATCH_MERGE = fault_point("columnar.batch_merge")
-_FP_FLUSH = fault_point("columnar.flush")
 _FP_CSR_BUILD = fault_point("columnar.csr_build")
 
 #: Bit width of one packed coordinate.
@@ -62,13 +60,6 @@ def _check_range(arr: np.ndarray, limit: int) -> None:
             f"ids must be in [0, {limit}); "
             f"got range [{int(arr.min())}, {int(arr.max())}]"
         )
-
-
-def pack_key(first: int, second: int) -> int:
-    """Pack one pair into its 64-bit key."""
-    if not (0 <= first < MAX_ID and 0 <= second < MAX_ID):
-        raise ValueError(f"ids must be in [0, {MAX_ID}); got ({first}, {second})")
-    return (first << KEY_BITS) | second
 
 
 def pack_pairs(first, second, limit: int = MAX_ID) -> np.ndarray:
@@ -119,15 +110,6 @@ def frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def keys_from_pair_set(pairs: set[int]) -> np.ndarray:
-    """Sorted key column from a set of packed keys (the pending buffer)."""
-    if not pairs:
-        return EMPTY_I64
-    arr = np.fromiter(pairs, dtype=np.int64, count=len(pairs))
-    arr.sort()
-    return arr
-
-
 def dedup_sorted(keys: np.ndarray) -> np.ndarray:
     """Drop adjacent duplicates from a sorted column."""
     if keys.size < 2:
@@ -150,12 +132,6 @@ def merge_keys(existing: np.ndarray, extra: np.ndarray) -> np.ndarray:
     combined = np.concatenate((existing, extra))
     combined.sort(kind="stable")
     return dedup_sorted(combined)
-
-
-def keys_contain(keys: np.ndarray, probe: int) -> bool:
-    """Membership of one packed key in a sorted key column."""
-    index = int(np.searchsorted(keys, probe))
-    return index < keys.size and int(keys[index]) == probe
 
 
 def keys_contain_many(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
@@ -340,21 +316,21 @@ def expand_join(
 
 
 class PairStore:
-    """Staged-merge sorted-key pair set: the shared physical core.
+    """Sorted-key pair set: the shared physical core.
 
     One canonical representation backs both the graph's per-label edge
-    stores and the engines' binary relations: a finalised sorted unique
-    key column plus a pending buffer of single-pair inserts, merged on
-    the next bulk operation or indexed read.  ``domain_size`` (when
-    given) enables CSR row-pointer construction over a dense id domain.
+    stores and the engines' binary relations: a sorted unique key column
+    (``keys``) and its unpacked ``first`` / ``second`` id columns, all
+    read-only and replaced whole by each bulk merge.  ``domain_size``
+    (when given) enables CSR row-pointer construction over a dense id
+    domain.
     """
 
     __slots__ = (
         "domain_size",
-        "_keys",
-        "_pending",
-        "_first",
-        "_second",
+        "keys",
+        "first",
+        "second",
         "_bwd",
         "_fwd_indptr",
         "_bwd_indptr",
@@ -362,7 +338,6 @@ class PairStore:
 
     def __init__(self, domain_size: int | None = None):
         self.domain_size = domain_size
-        self._pending: set[int] = set()
         self._set_keys(EMPTY_I64)
 
     @classmethod
@@ -377,37 +352,12 @@ class PairStore:
         # an allocation failure mid-unpack must leave the store on its
         # previous, fully consistent state (the chaos suite pins this).
         first, second = unpack_keys(keys)
-        self._keys = frozen(keys)
-        self._first = frozen(first)
-        self._second = frozen(second)
+        self.keys = frozen(keys)
+        self.first = frozen(first)
+        self.second = frozen(second)
         self._bwd: tuple[np.ndarray, np.ndarray] | None = None
         self._fwd_indptr: np.ndarray | None = None
         self._bwd_indptr: np.ndarray | None = None
-
-    def flush(self) -> None:
-        if self._pending:
-            _FLUSHES.inc()
-            FAULTS.hit(_FP_FLUSH)
-            self._set_keys(
-                merge_keys(self._keys, keys_from_pair_set(self._pending))
-            )
-            self._pending.clear()
-
-    # -- mutation -----------------------------------------------------
-
-    def contains(self, first: int, second: int) -> bool:
-        """Membership; ids outside the packable range are simply absent."""
-        if not (0 <= first < MAX_ID and 0 <= second < MAX_ID):
-            return False
-        key = (first << KEY_BITS) | second
-        return key in self._pending or keys_contain(self._keys, key)
-
-    def add_pair(self, first: int, second: int) -> bool:
-        """Stage one pair; returns False if already present."""
-        if self.contains(first, second):
-            return False
-        self._pending.add(pack_key(first, second))
-        return True
 
     def add_batch(self, first, second) -> int:
         """Pack + merge parallel columns; returns the number of new
@@ -417,80 +367,53 @@ class PairStore:
         outside ``[0, domain_size)``, raise before the store is touched."""
         limit = MAX_ID if self.domain_size is None else self.domain_size
         batch = pack_pairs(first, second, min(limit, MAX_ID))
-        self.flush()
         _BATCH_MERGES.inc()
         FAULTS.hit(_FP_BATCH_MERGE)
-        before = self._keys.size
+        before = self.keys.size
         batch.sort()  # in place only because pack_pairs always allocates
-        self._set_keys(merge_keys(self._keys, dedup_sorted(batch)))
-        return self._keys.size - before
+        self._set_keys(merge_keys(self.keys, dedup_sorted(batch)))
+        return self.keys.size - before
 
     # -- columns and indexes ------------------------------------------
 
     def __len__(self) -> int:
-        return self._keys.size + len(self._pending)
+        return self.keys.size
 
     @property
     def nbytes(self) -> int:
         """Live bytes of the key/id columns (excludes lazy CSR caches)."""
-        return (
-            self._keys.nbytes
-            + self._first.nbytes
-            + self._second.nbytes
-            + 8 * len(self._pending)
-        )
+        return self.keys.nbytes + self.first.nbytes + self.second.nbytes
 
     def self_check(self) -> None:
         """Assert internal invariants (chaos-suite consistency probe).
 
-        Verifies the finalised column is sorted-unique, the unpacked id
-        columns agree with it, and pending keys are disjoint from it.
-        Raises :class:`AssertionError` on any violation.
+        Verifies the key column is sorted-unique and the unpacked id
+        columns agree with it.  Raises :class:`AssertionError` on any
+        violation.
         """
-        keys = self._keys
-        assert keys.size == self._first.size == self._second.size
+        keys = self.keys
+        assert keys.size == self.first.size == self.second.size
         if keys.size:
             assert bool(np.all(keys[1:] > keys[:-1])), "keys not sorted-unique"
-            repacked = (self._first << KEY_BITS) | self._second
+            repacked = (self.first << KEY_BITS) | self.second
             assert bool(np.all(repacked == keys)), "id columns out of sync"
-        for key in self._pending:
-            assert not keys_contain(keys, key), "pending key already finalised"
-
-    @property
-    def keys(self) -> np.ndarray:
-        self.flush()
-        return self._keys
-
-    @property
-    def first(self) -> np.ndarray:
-        """First column, sorted (read-only)."""
-        self.flush()
-        return self._first
-
-    @property
-    def second(self) -> np.ndarray:
-        """Second column, in first-sorted order (read-only)."""
-        self.flush()
-        return self._second
 
     def backward(self) -> tuple[np.ndarray, np.ndarray]:
         """(sorted second column, first column in that order)."""
-        self.flush()
         if self._bwd is None:
             _CSR_BUILDS.inc()
             FAULTS.hit(_FP_CSR_BUILD)
-            order = np.argsort(self._second, kind="stable")
+            order = np.argsort(self.second, kind="stable")
             self._bwd = (
-                frozen(self._second[order]),
-                frozen(self._first[order]),
+                frozen(self.second[order]),
+                frozen(self.first[order]),
             )
         return self._bwd
 
     def slice_of(self, first_value: int) -> np.ndarray:
         """Seconds paired with one first value: read-only CSR slice."""
-        self.flush()
-        lo, hi = slice_bounds(self._first, first_value)
-        return self._second[lo:hi]
+        lo, hi = slice_bounds(self.first, first_value)
+        return self.second[lo:hi]
 
     def backward_slice_of(self, second_value: int) -> np.ndarray:
         """Firsts paired with one second value (inverse index slice)."""
@@ -499,11 +422,10 @@ class PairStore:
         return firsts[lo:hi]
 
     def forward_indptr(self) -> np.ndarray:
-        self.flush()
         if self._fwd_indptr is None:
             _CSR_BUILDS.inc()
             FAULTS.hit(_FP_CSR_BUILD)
-            self._fwd_indptr = frozen(indptr_for(self._first, self.domain_size))
+            self._fwd_indptr = frozen(indptr_for(self.first, self.domain_size))
         return self._fwd_indptr
 
     def backward_indptr(self) -> np.ndarray:

@@ -69,17 +69,17 @@ class Engine:
         profile: bool = False,
     ):
         """Answers of ``query`` on ``graph`` as a columnar
-        :class:`~repro.engine.resultset.ResultSet` (compatible with the
-        seed-era ``set[tuple[int, ...]]`` through its set shim).
+        :class:`~repro.engine.resultset.ResultSet`.
 
         With ``profile=True`` the evaluation runs under an isolated
         trace recording and returns an
         :class:`~repro.observability.profile.EvaluationProfile` instead
         (the answers stay available as its ``result`` field).  Engines
         implement :meth:`conjunct_relation` (or, for other match
-        semantics, :meth:`_evaluate`); overriding ``evaluate`` directly
-        (third-party engines) keeps working — the profiler drives the
-        public method.
+        semantics, :meth:`_evaluate`); a third-party engine may instead
+        override ``evaluate`` directly, returning a ``ResultSet`` (from
+        its answer tuples, :meth:`ResultSet.from_rows`) — the profiler
+        drives the public method.
 
         The budget is armed here, once per call.  When it is an
         :class:`~repro.execution.context.ExecutionContext` with
@@ -157,14 +157,9 @@ class Engine:
         """``count(distinct ?v)`` — the §7.1 measurement form.
 
         Resolved via :meth:`ResultSet.count_distinct` (an array length):
-        the aggregate boundary never materialises answer tuples.  A
-        plain ``len`` fallback keeps third-party engines that still
-        return ``set[tuple]`` working.
+        the aggregate boundary never materialises answer tuples.
         """
-        result = self.evaluate(query, graph, budget)
-        if isinstance(result, ResultSet):
-            return result.count_distinct()
-        return len(result)
+        return self.evaluate(query, graph, budget).count_distinct()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -19,7 +19,6 @@ workload (Table 4) while the naive SQL:1999 fixpoint drowns.
 from __future__ import annotations
 
 import copy
-from typing import Iterator
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -80,7 +79,9 @@ class ClosureRelation:
             dag = BinaryRelation.from_arrays(
                 source_components[cross], target_components[cross]
             )
-            for cs, ct in dag:
+            for cs, ct in zip(
+                dag.source_array.tolist(), dag.target_array.tolist()
+            ):
                 dag_successors.setdefault(cs, []).append(ct)
         budget.check_time()
 
@@ -105,14 +106,6 @@ class ClosureRelation:
 
     def __bool__(self) -> bool:
         return self.node_count > 0
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        source, target = pair
-        if not (0 <= source < self.node_count and 0 <= target < self.node_count):
-            return False
-        return (
-            int(self._labels[source]), int(self._labels[target])
-        ) in self._reach
 
     def contains_many(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Membership mask of parallel (source, target) id columns.
@@ -154,17 +147,6 @@ class ClosureRelation:
         return BinaryRelation.from_arrays(
             distinct[source_index[member_index]], members
         )
-
-    def targets_of(self, source: int) -> set[int]:
-        """Reachable nodes from ``source`` — always a fresh, safe set."""
-        reachable = self.restrict(np.array([source], dtype=np.int64), unlimited())
-        return set(reachable.target_array.tolist())
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.restrict(None, unlimited()))
-
-    def pairs(self) -> set[tuple[int, int]]:
-        return set(self)
 
     def inverse(self, budget: EvaluationBudget | None = None) -> "ClosureRelation":
         """Closure of the reversed base: the transposed component reach."""

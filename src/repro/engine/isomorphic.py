@@ -60,7 +60,6 @@ from repro.engine.budget import EvaluationBudget
 from repro.engine.resultset import ResultSet
 from repro.engine.frontier import (
     SymbolCSRCache,
-    frontier_reachable,
     frontier_reachable_pairs,
     frontier_regex_relation,
 )
@@ -681,33 +680,3 @@ def _run_sliced(
         return empty
     final.rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return final
-
-
-# -- reachability helpers (shared with the reference backtracker) --------
-
-
-def _forward_reachable(
-    source: int,
-    labels: tuple[str, ...],
-    graph: LabeledGraph,
-    budget: EvaluationBudget,
-    csr: SymbolCSRCache | None = None,
-) -> set[int]:
-    """Nodes reachable from ``source`` along the labels (frontier sweep)."""
-    seeds = np.array([source], dtype=np.int64)
-    csr = csr or SymbolCSRCache(graph)
-    return set(frontier_reachable(seeds, labels, csr, budget).tolist())
-
-
-def _backward_reachable(
-    target: int,
-    labels: tuple[str, ...],
-    graph: LabeledGraph,
-    budget: EvaluationBudget,
-    csr: SymbolCSRCache | None = None,
-) -> set[int]:
-    """Nodes reaching ``target`` along the labels (inverse sweep)."""
-    seeds = np.array([target], dtype=np.int64)
-    symbols = tuple(label + "-" for label in labels)
-    csr = csr or SymbolCSRCache(graph)
-    return set(frontier_reachable(seeds, symbols, csr, budget).tolist())

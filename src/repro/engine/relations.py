@@ -2,10 +2,9 @@
 
 A :class:`BinaryRelation` is a set of (source, target) integer pairs
 stored **columnar**: one :class:`~repro.columnar.PairStore` (a sorted,
-deduplicated ``int64`` key column with a pending buffer for staged
-single-pair inserts), exactly the physical layout of the graph's
-per-label CSR stores — :meth:`BinaryRelation.from_graph_symbol` adopts
-a label's key column zero-copy.  The UCRPQ operations — union,
+deduplicated ``int64`` key column), exactly the physical layout of the
+graph's per-label CSR stores — :meth:`BinaryRelation.from_graph_symbol`
+adopts a label's key column zero-copy.  The UCRPQ operations — union,
 composition, inverse, reflexive-transitive closure via *semi-naive*
 delta iteration — are vectorized sorted-set algebra (``merge_keys``
 unions, sort-merge ``np.searchsorted`` joins), with budget hooks so
@@ -13,17 +12,16 @@ runaway closures surface as
 :class:`~repro.errors.EngineBudgetExceeded`; join sizes are charged
 against the budget *before* the output arrays are materialised.
 
-Set-oriented reference semantics (the seed's dict-of-sets behaviour)
-are pinned by the parity tests in ``tests/test_csr_parity.py``:
-``targets_of`` returns a fresh set on hit and miss alike — the seed
-leaked its internal mutable set on the hit path, so mutating a result
-could corrupt the relation; both paths are safe now, with
-:meth:`targets_of_array` as the read-only zero-copy variant.
+Relations are built from columns (:meth:`BinaryRelation.from_arrays`,
+:meth:`~BinaryRelation.from_keys`) and read as columns
+(:attr:`~BinaryRelation.source_array`, :attr:`~BinaryRelation.
+target_array`, :attr:`~BinaryRelation.key_array`); there is no
+tuple-at-a-time surface.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -33,7 +31,6 @@ from repro.columnar import (
     as_id_array,
     dedup_sorted,
     expand_join,
-    keys_contain_many,
     keys_difference,
     merge_keys,
     pack_pairs,
@@ -47,39 +44,30 @@ from repro.queries.ast import is_inverse, symbol_base
 
 
 class BinaryRelation:
-    """A mutable set of integer pairs with columnar two-way indexes."""
+    """An immutable set of integer pairs with columnar two-way indexes.
+
+    ``BinaryRelation()`` is the empty relation; every other relation
+    comes from a ``from_*`` constructor.
+    """
 
     __slots__ = ("_store",)
 
-    def __init__(self, pairs: Iterable[tuple[int, int]] = ()):
-        if isinstance(pairs, BinaryRelation):
-            self._store = PairStore.from_keys(pairs.key_array)
-            return
+    def __init__(self):
         self._store = PairStore()
-        pair_list = list(pairs)
-        if pair_list:
-            arr = np.asarray(pair_list, dtype=np.int64)
-            self._store = PairStore.from_keys(
-                sorted_unique_keys(arr[:, 0], arr[:, 1])
-            )
 
     # -- construction ---------------------------------------------------
-
-    @classmethod
-    def _from_keys(cls, keys: np.ndarray) -> "BinaryRelation":
-        relation = cls.__new__(cls)
-        relation._store = PairStore.from_keys(keys)
-        return relation
 
     @classmethod
     def from_keys(cls, keys: np.ndarray) -> "BinaryRelation":
         """Adopt a sorted unique packed key column zero-copy.
 
-        The public face of the packed-key fast path: frontier sweeps
-        and closure kernels that already operate on key columns hand
-        their result over without unpacking.
+        The packed-key fast path: frontier sweeps and closure kernels
+        that already operate on key columns hand their result over
+        without unpacking.
         """
-        return cls._from_keys(keys)
+        relation = cls.__new__(cls)
+        relation._store = PairStore.from_keys(keys)
+        return relation
 
     @classmethod
     def from_arrays(cls, sources, targets) -> "BinaryRelation":
@@ -87,7 +75,7 @@ class BinaryRelation:
         sources = as_id_array(sources)
         if sources.size == 0:
             return cls()
-        return cls._from_keys(sorted_unique_keys(sources, targets))
+        return cls.from_keys(sorted_unique_keys(sources, targets))
 
     @classmethod
     def from_graph_symbol(cls, graph: LabeledGraph, symbol: str) -> "BinaryRelation":
@@ -102,8 +90,8 @@ class BinaryRelation:
         if sources.size == 0:
             return cls()
         if is_inverse(symbol):
-            return cls._from_keys(sorted_unique_keys(targets, sources))
-        return cls._from_keys(graph.edge_keys(label))
+            return cls.from_keys(sorted_unique_keys(targets, sources))
+        return cls.from_keys(graph.edge_keys(label))
 
     @classmethod
     def identity(cls, nodes: Iterable[int]) -> "BinaryRelation":
@@ -115,10 +103,7 @@ class BinaryRelation:
             ids = sorted_unique(list(nodes))
         if ids.size == 0:
             return cls()
-        return cls._from_keys(pack_pairs(ids, ids))
-
-    def add(self, source: int, target: int) -> bool:
-        return self._store.add_pair(source, target)
+        return cls.from_keys(pack_pairs(ids, ids))
 
     # -- columnar views ---------------------------------------------------
 
@@ -157,45 +142,26 @@ class BinaryRelation:
     def __bool__(self) -> bool:
         return len(self._store) > 0
 
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return self._store.contains(pair[0], pair[1])
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        yield from zip(
-            self._store.first.tolist(), self._store.second.tolist()
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryRelation):
             return NotImplemented
         return np.array_equal(self.key_array, other.key_array)
 
-    def targets_of(self, source: int) -> set[int]:
-        """Targets related to ``source`` — always a fresh, safe set."""
-        return set(self.targets_of_array(source).tolist())
-
-    def targets_of_array(self, source: int) -> np.ndarray:
-        """Targets of ``source`` as a read-only CSR slice (hot path)."""
-        return self._store.slice_of(source)
-
     def sources(self) -> np.ndarray:
         """Distinct sources (read-only sorted array)."""
         return dedup_sorted(self._store.first)
 
-    def pairs(self) -> set[tuple[int, int]]:
-        return set(self)
-
     # -- algebra ----------------------------------------------------------
 
     def union(self, other: "BinaryRelation") -> "BinaryRelation":
-        return BinaryRelation._from_keys(
+        return BinaryRelation.from_keys(
             merge_keys(self.key_array, other.key_array)
         )
 
     def inverse(self) -> "BinaryRelation":
         if self.key_array.size == 0:
             return BinaryRelation()
-        return BinaryRelation._from_keys(
+        return BinaryRelation.from_keys(
             sorted_unique_keys(self.target_array, self.source_array)
         )
 
@@ -264,14 +230,7 @@ class BinaryRelation:
             )
             delta_keys = keys_difference(candidates, closure_keys)
             closure_keys = merge_keys(closure_keys, delta_keys)
-        return BinaryRelation._from_keys(closure_keys)
-
-    def restrict_sources(self, allowed: set[int]) -> "BinaryRelation":
-        """Sub-relation with sources in ``allowed`` (semi-join pushdown)."""
-        if len(self) == 0 or not allowed:
-            return BinaryRelation()
-        mask = keys_contain_many(sorted_unique(list(allowed)), self.source_array)
-        return BinaryRelation._from_keys(self.key_array[mask])
+        return BinaryRelation.from_keys(closure_keys)
 
     def __repr__(self) -> str:
         return f"BinaryRelation({len(self)} pairs)"

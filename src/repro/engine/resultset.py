@@ -22,28 +22,27 @@ sorted-key kernels (:func:`~repro.columnar.merge_keys`,
 :func:`~repro.columnar.keys_difference`,
 :func:`~repro.columnar.unique_rows`).
 
-Backward compatibility: ``ResultSet`` registers as a
-:class:`collections.abc.Set`, so the seed-era idioms — iteration,
-``len``, ``in``, ``==`` / ``<=`` / ``&`` against ``set[tuple]`` — keep
-working, with :meth:`to_set` as the explicit escape hatch.  Those paths
-materialise Python tuples and exist only for migration and tests;
-**new code should consume** :meth:`arrays` / :meth:`count` /
-:meth:`count_distinct` instead (the tuple-at-a-time surface is
-deprecated for hot paths and asserted cold by the regression tests).
+Columns in, columns out: results are built from columns
+(:meth:`ResultSet.from_keys`, :meth:`~ResultSet.from_relation`,
+:meth:`~ResultSet.from_column`, :meth:`~ResultSet.from_table`), with
+:meth:`~ResultSet.from_rows` as the one tuple constructor for engines
+that collect answers tuple-at-a-time, and are read as columns
+(:meth:`~ResultSet.arrays`, :meth:`~ResultSet.key_array`) or streamed
+(:meth:`~ResultSet.iter_ndjson`).  A ``ResultSet`` is not iterable and
+is not a :class:`collections.abc.Set`; ``len`` and truthiness are the
+row count.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Set as AbstractSet
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.columnar import (
     EMPTY_I64,
     frozen,
-    keys_contain,
     keys_difference,
     merge_keys,
     pack_pairs,
@@ -60,103 +59,47 @@ def _strictly_increasing(column: np.ndarray) -> bool:
     return column.size < 2 or bool(np.all(column[1:] > column[:-1]))
 
 
-class ResultSet(AbstractSet):
+class ResultSet:
     """Lazy, columnar set of fixed-arity answer tuples."""
 
     __slots__ = ("_arity", "_nrows", "_keys", "_cols", "_incomplete")
 
-    def __init__(self, rows: Iterable[tuple[int, ...]] = (), arity: int | None = None):
-        """Compatibility constructor from an iterable of tuples.
-
-        The columnar entry points — :meth:`from_keys`,
-        :meth:`from_relation`, :meth:`from_column`, :meth:`from_table` —
-        are the zero-copy fast paths; this one exists so ``ResultSet``
-        can stand in anywhere a ``set`` of tuples was built before.
-        """
-        if isinstance(rows, ResultSet):
-            other = rows
-            self._arity = other._arity
-            self._nrows = other._nrows
-            self._keys = other._keys
-            self._cols = other._cols
-            self._incomplete = other._incomplete
-            return
-        row_list = list(rows)
-        if not row_list:
-            arity = arity or 0
-            self._init_raw(
-                arity,
-                0,
-                EMPTY_I64 if arity == 2 else None,
-                None if arity == 2 else tuple([EMPTY_I64] * arity),
-            )
-            return
-        inferred = len(row_list[0])
-        if arity is not None and arity != inferred:
-            raise ValueError(f"rows have arity {inferred}, expected {arity}")
-        if inferred == 0:
-            self._init_raw(0, 1, None, ())
-            return
-        table = np.asarray(row_list, dtype=np.int64).reshape(len(row_list), inferred)
-        self._init_from_table(table)
-
-    # -- construction ---------------------------------------------------
-
-    def _init_raw(
+    def __init__(
         self,
         arity: int,
         nrows: int,
-        keys: np.ndarray | None,
-        cols: tuple[np.ndarray, ...] | None,
-    ) -> None:
+        keys: np.ndarray | None = None,
+        cols: tuple[np.ndarray, ...] | None = None,
+    ):
+        """Adopt canonical columns as they are (no checks).
+
+        ``keys`` holds a 2-ary result, ``cols`` any other arity.  Use
+        the ``from_*`` constructors, which canonicalise their input.
+        """
         self._arity = arity
         self._nrows = nrows
         self._keys = keys
         self._cols = cols
         self._incomplete = None
 
-    def _init_from_table(self, table: np.ndarray) -> None:
-        arity = table.shape[1]
-        if arity == 1:
-            column = np.ascontiguousarray(table[:, 0], dtype=np.int64)
-            if not _strictly_increasing(column):
-                column = sorted_unique(column)
-            self._init_raw(1, column.size, None, (frozen(column),))
-        elif arity == 2:
-            # Joins usually hand over rows in relation order (sorted by
-            # packed key already): one O(n) monotonicity check saves the
-            # O(n log n) re-sort on that common path.
-            keys = pack_pairs(table[:, 0], table[:, 1])
-            if not _strictly_increasing(keys):
-                keys = sorted_unique(keys)
-            self._init_raw(2, keys.size, frozen(keys), None)
-        else:
-            canonical = unique_rows(table)
-            cols = tuple(frozen(np.ascontiguousarray(canonical[:, j]))
-                         for j in range(arity))
-            self._init_raw(arity, canonical.shape[0], None, cols)
-
-    @classmethod
-    def _raw(cls, arity, nrows, keys=None, cols=None) -> "ResultSet":
-        result = cls.__new__(cls)
-        result._init_raw(arity, nrows, keys, cols)
-        return result
+    # -- construction ---------------------------------------------------
 
     @classmethod
     def empty(cls, arity: int = 0) -> "ResultSet":
         """The empty result of the given arity."""
-        return cls._raw(arity, 0, EMPTY_I64 if arity == 2 else None,
-                        None if arity == 2 else tuple([EMPTY_I64] * arity))
+        if arity == 2:
+            return cls(2, 0, keys=EMPTY_I64)
+        return cls(arity, 0, cols=tuple([EMPTY_I64] * arity))
 
     @classmethod
     def unit(cls) -> "ResultSet":
         """The Boolean "true" result: exactly one empty row."""
-        return cls._raw(0, 1, None, ())
+        return cls(0, 1, cols=())
 
     @classmethod
     def from_keys(cls, keys: np.ndarray) -> "ResultSet":
         """Adopt a sorted unique packed key column zero-copy (2-ary)."""
-        return cls._raw(2, keys.size, frozen(keys), None)
+        return cls(2, keys.size, keys=frozen(keys))
 
     @classmethod
     def from_relation(cls, relation) -> "ResultSet":
@@ -173,7 +116,7 @@ class ResultSet(AbstractSet):
         column = np.ascontiguousarray(column, dtype=np.int64)
         if not canonical:
             column = sorted_unique(column)
-        return cls._raw(1, column.size, None, (frozen(column),))
+        return cls(1, column.size, cols=(frozen(column),))
 
     @classmethod
     def from_table(cls, table: np.ndarray) -> "ResultSet":
@@ -181,23 +124,36 @@ class ResultSet(AbstractSet):
         table = np.ascontiguousarray(table, dtype=np.int64)
         if table.ndim != 2:
             raise ValueError(f"expected a 2-D row matrix, got shape {table.shape}")
-        if table.shape[1] == 0:
+        arity = table.shape[1]
+        if arity == 0:
             return cls.unit() if table.shape[0] else cls.empty(0)
-        result = cls.__new__(cls)
-        result._init_from_table(table)
-        return result
+        if arity == 1:
+            column = np.ascontiguousarray(table[:, 0])
+            if not _strictly_increasing(column):
+                column = sorted_unique(column)
+            return cls(1, column.size, cols=(frozen(column),))
+        if arity == 2:
+            # Joins usually hand over rows in relation order (sorted by
+            # packed key already): one O(n) monotonicity check saves the
+            # O(n log n) re-sort on that common path.
+            keys = pack_pairs(table[:, 0], table[:, 1])
+            if not _strictly_increasing(keys):
+                keys = sorted_unique(keys)
+            return cls.from_keys(keys)
+        canonical = unique_rows(table)
+        cols = tuple(frozen(np.ascontiguousarray(canonical[:, j]))
+                     for j in range(arity))
+        return cls(arity, canonical.shape[0], cols=cols)
 
     @classmethod
-    def from_rows(
-        cls, rows, arity: int | None = None
-    ) -> "ResultSet":
-        """Fast path from a set/list of equal-length tuples.
+    def from_rows(cls, rows, arity: int | None = None) -> "ResultSet":
+        """Result from a set/list of equal-length tuples.
 
-        One ``np.fromiter`` pass flattens the rows straight into the
-        ``(n, k)`` matrix :meth:`from_table` canonicalises — no
-        intermediate list-of-tuples array conversion.  ``arity`` is
-        required when ``rows`` may be empty (an empty set carries no
-        arity of its own).
+        The one tuple constructor, for engines that collect answers
+        tuple-at-a-time: one ``np.fromiter`` pass flattens the rows
+        straight into the ``(n, k)`` matrix :meth:`from_table`
+        canonicalises.  ``arity`` is required when ``rows`` may be
+        empty (an empty set carries no arity of its own).
         """
         count = len(rows)
         if count == 0:
@@ -207,13 +163,11 @@ class ResultSet(AbstractSet):
         if arity == 0:
             return cls.unit()
         flat = np.fromiter(
-            (value for row in rows for value in row),
-            dtype=np.int64,
-            count=count * arity,
+            (value for row in rows for value in row), dtype=np.int64
         )
-        result = cls.__new__(cls)
-        result._init_from_table(flat.reshape(count, arity))
-        return result
+        if flat.size != count * arity:
+            raise ValueError(f"rows are not all of arity {arity}")
+        return cls.from_table(flat.reshape(count, arity))
 
     # -- columnar access ------------------------------------------------
 
@@ -268,7 +222,7 @@ class ResultSet(AbstractSet):
         The columns are shared zero-copy; only the completeness flag
         differs, so set algebra on the copy behaves identically.
         """
-        result = ResultSet._raw(self._arity, self._nrows, self._keys, self._cols)
+        result = ResultSet(self._arity, self._nrows, self._keys, self._cols)
         result._incomplete = report
         return result
 
@@ -306,12 +260,6 @@ class ResultSet(AbstractSet):
                     yield (template * block.shape[0]) % tuple(block.ravel())
         if self._incomplete is not None:
             yield self._incomplete.to_json() + "\n"
-
-    def to_relation(self):
-        """View a 2-ary result as a :class:`BinaryRelation` (zero-copy)."""
-        from repro.engine.relations import BinaryRelation
-
-        return BinaryRelation.from_keys(self.key_array)
 
     # -- set algebra (sorted-key kernels) -------------------------------
 
@@ -389,31 +337,7 @@ class ResultSet(AbstractSet):
             np.column_stack([cols[p] for p in positions])
         )
 
-    # -- compatibility shim (deprecated for hot paths) ------------------
-
-    def iter_rows(self) -> Iterator[tuple[int, ...]]:
-        """Yield answer rows as Python tuples.
-
-        .. deprecated:: migration shim — materialises one tuple per
-           row.  Use :meth:`arrays` (zero-copy columns) or
-           :meth:`count` / :meth:`count_distinct` instead.
-        """
-        if self._arity == 0:
-            for _ in range(self._nrows):
-                yield ()
-            return
-        yield from zip(*(column.tolist() for column in self.arrays()))
-
-    def to_set(self) -> set[tuple[int, ...]]:
-        """Materialise the seed-era ``set[tuple]`` (escape hatch).
-
-        .. deprecated:: migration shim, same caveats as
-           :meth:`iter_rows`.
-        """
-        return set(self.iter_rows())
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return self.iter_rows()
+    # -- size and equality ----------------------------------------------
 
     def __len__(self) -> int:
         return self._nrows
@@ -421,52 +345,21 @@ class ResultSet(AbstractSet):
     def __bool__(self) -> bool:
         return self._nrows > 0
 
-    def __contains__(self, row) -> bool:
-        if not isinstance(row, tuple) or len(row) != self._arity:
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ResultSet):
+            return NotImplemented
+        if self._nrows != other._nrows:
             return False
-        if self._arity == 0:
-            return self._nrows > 0
-        try:
-            row = tuple(int(value) for value in row)
-        except (TypeError, ValueError):
-            return False
-        if any(not 0 <= value < (1 << 31) for value in row):
+        if self._nrows == 0:
+            return True
+        if self._arity != other._arity:
             return False
         if self._arity == 2:
-            return keys_contain(self._keys, (int(row[0]) << 32) | int(row[1]))
-        cols = self.arrays()
-        if self._arity == 1:
-            return keys_contain(cols[0], int(row[0]))
-        mask = np.ones(self._nrows, dtype=bool)
-        for column, value in zip(cols, row):
-            mask &= column == int(value)
-        return bool(mask.any())
-
-    @classmethod
-    def _from_iterable(cls, iterable) -> "ResultSet":
-        # collections.abc.Set mixin hook (powers &, |, -, ^ against
-        # arbitrary tuple sets).
-        return cls(iterable)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ResultSet):
-            if self._nrows != other._nrows:
-                return False
-            if self._nrows == 0:
-                return True
-            if self._arity != other._arity:
-                return False
-            if self._arity == 2:
-                return bool(np.array_equal(self._keys, other._keys))
-            return all(
-                np.array_equal(mine, theirs)
-                for mine, theirs in zip(self.arrays(), other.arrays())
-            )
-        if isinstance(other, AbstractSet):
-            if len(other) != self._nrows:
-                return False
-            return all(row in other for row in self.iter_rows())
-        return NotImplemented
+            return bool(np.array_equal(self._keys, other._keys))
+        return all(
+            np.array_equal(mine, theirs)
+            for mine, theirs in zip(self.arrays(), other.arrays())
+        )
 
     __hash__ = None  # mutable-adjacent view; matches set's unhashability
 

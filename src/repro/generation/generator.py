@@ -51,17 +51,14 @@ class GraphGenerator:
         Enable the §4 optimisation that avoids materialising degree
         vectors for Gaussian sides.  Exposed so the ablation benchmark
         can measure its effect; results are distributionally equivalent.
-    deduplicate:
-        Fig. 5 can emit duplicate (source, label, target) triples when a
-        node index repeats at matching positions; the columnar store
-        always collapses them (queries evaluate under set semantics).
-        True (default) bulk-appends each constraint's whole batch in one
-        packed sort + adjacent-mask merge; False keeps the per-edge
-        insertion path as the ablation baseline.
+
+    Each constraint's batch is bulk-inserted in one packed sort +
+    adjacent-mask merge, which collapses the duplicate (source, label,
+    target) triples Fig. 5 can emit (queries evaluate under set
+    semantics).
     """
 
     use_gaussian_fast_path: bool = True
-    deduplicate: bool = True
 
     def generate(
         self,
@@ -106,11 +103,7 @@ class GraphGenerator:
             sources, targets = batch
             if span:
                 span.set(edges=int(sources.size))
-            if self.deduplicate:
-                graph.add_edges(constraint.predicate, sources, targets)
-            else:
-                for source, target in zip(sources.tolist(), targets.tolist()):
-                    graph.add_edge(source, constraint.predicate, target)
+            graph.add_edges(constraint.predicate, sources, targets)
 
     def _constraint_arrays(
         self,

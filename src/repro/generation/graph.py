@@ -61,10 +61,11 @@ class LabeledGraph:
 
     The structure keeps one columnar :class:`~repro.columnar.PairStore`
     per label (sources as the first column, targets as the second).
-    Duplicate (source, label, target) triples are collapsed.  All
-    navigation methods that return sets return **fresh** sets the caller
-    may mutate freely; the ``*_array`` variants return read-only views
-    into the CSR indexes (the zero-copy hot path).
+    Edges go in as bulk columns (:meth:`add_edges`), which collapses
+    duplicate (source, label, target) triples, and come out as read-only
+    columns: whole labels (:meth:`edge_arrays`, :meth:`edge_keys`), CSR
+    indexes (:meth:`csr_arrays`) or one node's CSR slice (the ``*_array``
+    methods).
     """
 
     def __init__(self, config: GraphConfiguration):
@@ -79,10 +80,6 @@ class LabeledGraph:
         return store
 
     # -- construction ------------------------------------------------
-
-    def add_edge(self, source: int, label: str, target: int) -> bool:
-        """Insert one edge; returns False if it was already present."""
-        return self._store(label).add_pair(source, target)
 
     def add_edges(self, label: str, sources: np.ndarray, targets: np.ndarray) -> int:
         """Bulk-insert parallel arrays of endpoints; returns #inserted.
@@ -110,19 +107,6 @@ class LabeledGraph:
         """Labels that occur on at least one edge."""
         return [label for label, store in self._stores.items() if len(store)]
 
-    def successors(self, node: int, label: str) -> set[int]:
-        """Targets of ``label``-edges leaving ``node``.
-
-        Returns a fresh set (both on hit and miss) — mutating it never
-        corrupts the graph.  Hot paths should prefer
-        :meth:`successors_array`.
-        """
-        return set(self.successors_array(node, label).tolist())
-
-    def predecessors(self, node: int, label: str) -> set[int]:
-        """Sources of ``label``-edges entering ``node`` (fresh set)."""
-        return set(self.predecessors_array(node, label).tolist())
-
     def successors_array(self, node: int, label: str) -> np.ndarray:
         """Targets of ``label``-edges leaving ``node``: read-only slice."""
         store = self._stores.get(label)
@@ -137,16 +121,12 @@ class LabeledGraph:
             return EMPTY_I64
         return store.backward_slice_of(node)
 
-    def neighbours(self, node: int, symbol: str) -> set[int]:
-        """Navigate one step along ``symbol`` in ``Sigma±`` (fresh set).
+    def neighbours_array(self, node: int, symbol: str) -> np.ndarray:
+        """One ``Sigma±`` step as a read-only CSR slice.
 
         A trailing ``-`` denotes the inverse predicate (paper §3.3), so
-        ``neighbours(v, "a-")`` follows ``a``-edges backwards.
+        ``neighbours_array(v, "a-")`` follows ``a``-edges backwards.
         """
-        return set(self.neighbours_array(node, symbol).tolist())
-
-    def neighbours_array(self, node: int, symbol: str) -> np.ndarray:
-        """One ``Sigma±`` step as a read-only CSR slice (engine hot path)."""
         if symbol.endswith("-"):
             return self.predecessors_array(node, symbol[:-1])
         return self.successors_array(node, symbol)
@@ -172,16 +152,6 @@ class LabeledGraph:
             if store is None or not len(store):
                 return None
             return store.forward_indptr(), store.second
-
-    def has_edge(self, source: int, label: str, target: int) -> bool:
-        """Membership of one (source, label, target) triple."""
-        store = self._stores.get(label)
-        return store is not None and store.contains(source, target)
-
-    def edges_with_label(self, label: str) -> list[tuple[int, int]]:
-        """All (source, target) pairs carrying ``label``, sorted."""
-        sources, targets = self.edge_arrays(label)
-        return list(zip(sources.tolist(), targets.tolist()))
 
     def edge_arrays(self, label: str) -> tuple[np.ndarray, np.ndarray]:
         """(sources, targets) columns, sorted by (source, target).
@@ -264,23 +234,6 @@ class LabeledGraph:
                 name: r.count for name, r in self.config.ranges.items()
             },
         )
-
-    def triples(self):
-        """Iterate all (source, label, target) triples (writer input)."""
-        for label in self.labels():
-            sources, targets = self.edge_arrays(label)
-            for source, target in zip(sources.tolist(), targets.tolist()):
-                yield source, label, target
-
-    def to_networkx(self):
-        """Export to a networkx MultiDiGraph (used by validation tests)."""
-        import networkx as nx
-
-        graph = nx.MultiDiGraph()
-        graph.add_nodes_from(range(self.n))
-        for source, label, target in self.triples():
-            graph.add_edge(source, target, label=label)
-        return graph
 
     def __repr__(self) -> str:
         return f"LabeledGraph(n={self.n}, edges={self.edge_count})"

@@ -105,10 +105,6 @@ class ReferenceLabeledGraph:
             return self.predecessors_array(node, symbol[:-1])
         return self.successors_array(node, symbol)
 
-    def has_edge(self, source: int, label: str, target: int) -> bool:
-        by_source = self._forward.get(label)
-        return by_source is not None and target in by_source.get(source, ())
-
     def edges_with_label(self, label: str) -> list[tuple[int, int]]:
         """All (source, target) pairs carrying ``label``, sorted."""
         by_source = self._forward.get(label, {})
@@ -182,20 +178,6 @@ class ReferenceLabeledGraph:
                 name: r.count for name, r in self.config.ranges.items()
             },
         )
-
-    def triples(self):
-        for label in self.labels():
-            for source, target in self.edges_with_label(label):
-                yield source, label, target
-
-    def to_networkx(self):
-        import networkx as nx
-
-        graph = nx.MultiDiGraph()
-        graph.add_nodes_from(range(self.n))
-        for source, label, target in self.triples():
-            graph.add_edge(source, target, label=label)
-        return graph
 
     def __repr__(self) -> str:
         return f"ReferenceLabeledGraph(n={self.n}, edges={self.edge_count})"

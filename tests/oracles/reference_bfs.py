@@ -35,25 +35,27 @@ class ReferenceSparqlEngine(Engine):
         cache,
     ) -> BinaryRelation:
         nfa = build_nfa(regex)
-        relation = BinaryRelation()
+        pairs: set[tuple[int, int]] = set()
         start_accepting = nfa.is_accepting(frozenset({nfa.start}))
         visited_total = 0
         for source in range(graph.n):
             if start_accepting:
-                relation.add(source, source)
-            visited_total += self._bfs_from(source, nfa, graph, relation)
+                pairs.add((source, source))
+            visited_total += self._bfs_from(source, nfa, graph, pairs)
             if visited_total > budget.max_rows:
                 budget.check_rows(visited_total)
             if source % 256 == 0:
                 budget.check_time()
-        return relation
+        sources = [source for source, _ in pairs]
+        targets = [target for _, target in pairs]
+        return BinaryRelation.from_arrays(sources, targets)
 
     def _bfs_from(
         self,
         source: int,
         nfa: NFA,
         graph: LabeledGraph,
-        relation: BinaryRelation,
+        pairs: set[tuple[int, int]],
     ) -> int:
         """Product BFS from one source; records accepting pairs."""
         start_pair = (source, nfa.start)
@@ -71,6 +73,6 @@ class ReferenceSparqlEngine(Engine):
                         continue
                     visited.add(pair)
                     if next_state in nfa.accepting:
-                        relation.add(source, next_node)
+                        pairs.add((source, next_node))
                     queue.append(pair)
         return len(visited)

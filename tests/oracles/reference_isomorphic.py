@@ -19,15 +19,19 @@ branches for parity to be meaningful.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.engine.base import Engine
 from repro.engine.budget import EvaluationBudget
-from repro.engine.frontier import SymbolCSRCache, frontier_regex_relation
+from repro.engine.frontier import (
+    SymbolCSRCache,
+    frontier_reachable,
+    frontier_regex_relation,
+)
 from repro.engine.isomorphic import (
     _EdgeStep,
     _Step,
-    _backward_reachable,
     _expand_branches,
-    _forward_reachable,
     _VarLengthStep,
 )
 from repro.engine.automaton import NFA
@@ -235,3 +239,30 @@ def _reachable_candidates(
             yield from zip(
                 sources[start:stop].tolist(), targets[start:stop].tolist()
             )
+
+
+def _forward_reachable(
+    source: int,
+    labels: tuple[str, ...],
+    graph: LabeledGraph,
+    budget: EvaluationBudget,
+    csr: SymbolCSRCache | None = None,
+) -> set[int]:
+    """Nodes reachable from ``source`` along the labels (frontier sweep)."""
+    seeds = np.array([source], dtype=np.int64)
+    csr = csr or SymbolCSRCache(graph)
+    return set(frontier_reachable(seeds, labels, csr, budget).tolist())
+
+
+def _backward_reachable(
+    target: int,
+    labels: tuple[str, ...],
+    graph: LabeledGraph,
+    budget: EvaluationBudget,
+    csr: SymbolCSRCache | None = None,
+) -> set[int]:
+    """Nodes reaching ``target`` along the labels (inverse sweep)."""
+    seeds = np.array([target], dtype=np.int64)
+    symbols = tuple(label + "-" for label in labels)
+    csr = csr or SymbolCSRCache(graph)
+    return set(frontier_reachable(seeds, symbols, csr, budget).tolist())

@@ -44,7 +44,6 @@ QUERY_STAR = "(?x, ?y) <- (?x, (authors.authors-)*, ?y)"
 EXPECTED_POINTS = {
     "columnar.batch_merge",
     "columnar.csr_build",
-    "columnar.flush",
     "frontier.advance",
     "generation.batch",
     "jobs.journal_append",
@@ -55,12 +54,10 @@ EXPECTED_POINTS = {
     "writers.serialize",
 }
 
-#: Points the sweep pipeline is known to exercise (``columnar.flush``
-#: only fires on the scalar ``add_pair`` path and the ``jobs.journal_*``
-#: points only inside a journaled JobManager — each covered separately).
+#: Points the sweep pipeline is known to exercise (the ``jobs.journal_*``
+#: points only fire inside a journaled JobManager, covered separately).
 PIPELINE_POINTS = sorted(
-    EXPECTED_POINTS
-    - {"columnar.flush", "jobs.journal_append", "jobs.journal_replay"}
+    EXPECTED_POINTS - {"jobs.journal_append", "jobs.journal_replay"}
 )
 
 
@@ -161,12 +158,12 @@ class TestNthHitSemantics:
             ) == 2  # hit 1: passes
             with pytest.raises(InjectedFault):
                 store.add_batch(np.array([5]), np.array([6]))  # hit 2
-            assert not store.contains(5, 6)  # the failed batch: no trace
+            assert store.first.tolist() == [1, 2]  # the failed batch: no trace
             assert store.add_batch(
                 np.array([5]), np.array([6])
             ) == 1  # hit 3: the in-window retry lands the same batch
-        assert len(store) == 3
-        assert store.contains(5, 6)
+        assert store.first.tolist() == [1, 2, 5]
+        assert store.second.tolist() == [3, 4, 6]
 
     def test_injected_counter_increments(self):
         from repro.observability.metrics import METRICS
@@ -207,20 +204,6 @@ class TestTransactionalMutation:
         )
         assert inserted >= 0
         graph.self_check()
-
-    def test_failed_flush_keeps_pending_pairs(self):
-        store = PairStore(domain_size=50)
-        store.add_pair(1, 2)
-        store.add_pair(3, 4)
-        assert len(store) == 2
-        with FAULTS.inject("columnar.flush", MemoryError, nth=1):
-            with pytest.raises(MemoryError):
-                store.flush()
-        # Nothing lost, nothing corrupted: the retry lands both pairs.
-        assert len(store) == 2
-        store.flush()
-        store.self_check()
-        assert store.contains(1, 2) and store.contains(3, 4)
 
     def test_failed_csr_build_retries_clean(self):
         store = PairStore(domain_size=50)
@@ -414,7 +397,7 @@ class TestNestedInjection:
     def test_nested_blocks_compose_and_unwind(self):
         store = PairStore(domain_size=50)
         with FAULTS.inject("columnar.batch_merge", InjectedFault, nth=1):
-            with FAULTS.inject("columnar.flush", MemoryError, nth=1):
+            with FAULTS.inject("columnar.csr_build", MemoryError, nth=1):
                 assert len(FAULTS._plans) == 2
                 with pytest.raises(InjectedFault):
                     store.add_batch(np.array([1]), np.array([2]))

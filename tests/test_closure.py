@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.budget import unlimited
 from repro.engine.closure import ClosureRelation
 from repro.engine.relations import BinaryRelation
+from repro.engine.resultset import ResultSet
+
+from oracles.tuples import pairs, rows
 
 
 def closure_pair(edges, n):
     """(SCC-condensed, semi-naive reference) closures of the same base."""
-    base = BinaryRelation(edges)
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    base = BinaryRelation.from_arrays(edges[:, 0], edges[:, 1])
     return (
         ClosureRelation(base, n),
         base.transitive_closure(nodes=range(n)),
@@ -22,27 +27,28 @@ class TestClosureRelation:
     def test_empty_base_is_identity(self):
         closed, reference = closure_pair([], 5)
         assert len(closed) == 5
-        assert closed.pairs() == reference.pairs()
+        assert pairs(closed) == pairs(reference)
 
     def test_simple_chain(self):
         closed, reference = closure_pair([(0, 1), (1, 2)], 4)
-        assert closed.pairs() == reference.pairs()
-        assert (0, 2) in closed
-        assert (2, 0) not in closed
+        assert pairs(closed) == pairs(reference)
+        assert (0, 2) in pairs(closed)
+        assert (2, 0) not in pairs(closed)
 
     def test_cycle_collapses_to_component(self):
         closed, reference = closure_pair([(0, 1), (1, 2), (2, 0)], 4)
-        assert closed.pairs() == reference.pairs()
-        assert (2, 1) in closed
+        assert pairs(closed) == pairs(reference)
+        assert (2, 1) in pairs(closed)
 
-    def test_targets_of(self):
-        closed, reference = closure_pair([(0, 1), (1, 2)], 4)
-        assert closed.targets_of(0) == reference.targets_of(0)
-        assert closed.targets_of(3) == {3}
+    def test_restrict_to_one_source(self):
+        closed, _ = closure_pair([(0, 1), (1, 2)], 4)
+        reach = closed.restrict(np.array([0]), unlimited())
+        assert reach.target_array.tolist() == [0, 1, 2]
+        assert closed.restrict(np.array([3]), unlimited()).target_array.tolist() == [3]
 
     def test_inverse_matches_reference(self):
         closed, reference = closure_pair([(0, 1), (1, 2), (2, 0), (2, 3)], 5)
-        assert closed.inverse().pairs() == reference.inverse().pairs()
+        assert pairs(closed.inverse()) == pairs(reference.inverse())
 
     def test_inverse_is_cached_and_involutive(self):
         closed, _ = closure_pair([(0, 1)], 3)
@@ -52,10 +58,9 @@ class TestClosureRelation:
         closed, reference = closure_pair([(0, 1), (1, 0), (1, 2), (3, 1)], 5)
         assert len(closed) == len(reference)
 
-    def test_out_of_domain_membership(self):
+    def test_out_of_domain_sources_restrict_to_nothing(self):
         closed, _ = closure_pair([(0, 1)], 2)
-        assert (5, 0) not in closed
-        assert closed.targets_of(17) == set()
+        assert len(closed.restrict(np.array([5, 17]), unlimited())) == 0
 
     @given(
         n=st.integers(1, 12),
@@ -69,10 +74,12 @@ class TestClosureRelation:
         """Property: SCC closure == semi-naive closure on random graphs."""
         edges = [(u % n, v % n) for u, v in edges]
         closed, reference = closure_pair(edges, n)
-        assert closed.pairs() == reference.pairs()
+        assert pairs(closed) == pairs(reference)
         assert len(closed) == len(reference)
         node = data.draw(st.integers(0, n - 1))
-        assert closed.targets_of(node) == reference.targets_of(node)
+        assert closed.restrict(np.array([node]), unlimited()) == (
+            BinaryRelation.from_keys(reference.key_array[reference.source_array == node])
+        )
 
     def test_used_by_datalog_engine_for_stars(self, bib_graph):
         """The engine's starred conjuncts answer through ClosureRelation
@@ -87,7 +94,7 @@ class TestClosureRelation:
             BinaryRelation.from_graph_symbol(bib_graph, "publishedIn-")
         )
         reference = base.transitive_closure(nodes=range(bib_graph.n))
-        assert via_engine == reference.pairs()
+        assert via_engine == ResultSet.from_relation(reference)
 
 
 class TestClosureInTheJoin:
@@ -131,8 +138,7 @@ class TestClosureInTheJoin:
 
         n = bib_config.n
         graph = LabeledGraph(bib_config)
-        for node in range(n):
-            graph.add_edge(node, "extendedTo", (node + 1) % n)
+        graph.add_edges("extendedTo", np.arange(n), (np.arange(n) + 1) % n)
         query = parse_query(
             "(?x, ?z) <- (?x, extendedTo, ?y), (?y, extendedTo, ?z), "
             "(?z, (extendedTo)*, ?x)"
@@ -140,4 +146,4 @@ class TestClosureInTheJoin:
         answers = evaluate_query(
             query, graph, "datalog", EvaluationBudget(max_rows=4 * n)
         )
-        assert answers == {(v, (v + 2) % n) for v in range(n)}
+        assert rows(answers) == {(v, (v + 2) % n) for v in range(n)}

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from oracles.reference import ReferenceLabeledGraph
 from oracles.reference_bfs import ReferenceSparqlEngine
+from oracles.tuples import rows
 from repro.engine.bfs import SparqlLikeEngine
 from repro.engine.automaton import build_nfa
 from repro.engine.evaluator import evaluate_query
@@ -112,7 +113,7 @@ class TestFrontierMatchesReferenceBfs:
             RegularExpression((PathExpression(("a",)),), starred=True)
         )
         # ε matches every node under UCRPQ star semantics.
-        assert FRONTIER.evaluate(query, columnar) == {
+        assert rows(FRONTIER.evaluate(query, columnar)) == {
             (v, v) for v in range(5)
         }
 

@@ -6,6 +6,7 @@ distributions even where truncation distorts exact parameters; the
 across scenarios, sizes, and seeds.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -50,8 +51,9 @@ class TestVerifyInstance:
         # three venues to violate the contract.
         paper = bib_config.ranges["paper"].start
         conference = bib_config.ranges["conference"].start
-        for offset in range(3):
-            graph.add_edge(paper, "publishedIn", conference + offset)
+        graph.add_edges(
+            "publishedIn", [paper] * 3, [conference + offset for offset in range(3)]
+        )
         report = verify_instance(graph)
         assert not report.ok
         assert any("uniform max" in violation for violation in report.violations)
@@ -64,12 +66,10 @@ class TestVerifyInstance:
         # 1-edge-per-researcher pattern has no hub.
         researchers = bib_config.ranges["researcher"]
         papers = bib_config.ranges["paper"]
-        for index in range(researchers.count):
-            graph.add_edge(
-                researchers.start + index,
-                "authors",
-                papers.start + index % papers.count,
-            )
+        index = np.arange(researchers.count)
+        graph.add_edges(
+            "authors", researchers.start + index, papers.start + index % papers.count
+        )
         report = verify_instance(graph)
         assert any("no hub" in violation for violation in report.violations)
 

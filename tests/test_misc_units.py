@@ -179,3 +179,51 @@ class TestSetOperationAllowlist:
         assert not forbidden, forbidden
         assert all(has_axis for _, has_axis in unique_sites), unique_sites
         assert {where for where, _ in unique_sites} <= self.UNIQUE_SITES
+
+
+class TestColumnsInColumnsOut:
+    """Graphs, relations and results are built from columns and read as
+    columns: the storage and result modules define no tuple iteration,
+    no tuple membership and no set- or tuple-list-returning function."""
+
+    MODULES = (
+        "columnar.py",
+        "generation/graph.py",
+        "engine/resultset.py",
+        "engine/relations.py",
+        "engine/closure.py",
+    )
+    TUPLE_RETURNS = ("set[", "list[tuple", "Iterator[tuple")
+
+    def test_no_tuple_surface_in_storage_and_result_modules(self):
+        import ast
+        import pathlib
+
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        offenders = []
+        for module in self.MODULES:
+            tree = ast.parse((root / module).read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    offenders += [
+                        f"{module}:{node.name}.{item.name}"
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and item.name in ("__iter__", "__contains__")
+                    ]
+                if isinstance(node, ast.FunctionDef) and node.returns is not None:
+                    returns = ast.unparse(node.returns).strip("'\"")
+                    if returns.startswith(self.TUPLE_RETURNS):
+                        offenders.append(f"{module}:{node.name} -> {returns}")
+        assert not offenders, offenders
+
+    def test_result_set_is_not_a_set(self):
+        import collections.abc
+
+        from repro.engine.resultset import ResultSet
+
+        assert not issubclass(ResultSet, collections.abc.Set)
+        with pytest.raises(TypeError):
+            iter(ResultSet.empty(2))

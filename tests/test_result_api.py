@@ -1,18 +1,16 @@
-"""Columnar result-API tests: ResultSet, Registry, and count paths.
+"""Columnar result-API tests: ResultSet, engine parity, and Registry.
 
 Three pillars of the PR-4 redesign are pinned here:
 
 * **ResultSet semantics** — unit tests of the columnar representations
-  (0/1/2/k-ary), the sorted-key set algebra, and the backward-compat
-  set shim;
+  (0/1/2/k-ary), the sorted-key set algebra, and the columns-only
+  surface (no iteration, no membership, equality between results only);
 * **engine parity** — a property suite asserting every registered
-  engine's ``ResultSet`` output equals the seed-era ``set[tuple]``
+  engine's ``ResultSet`` rows equal the seed-era ``set[tuple]``
   answers, oracled by an independent pure-Python relational evaluator
   on random graphs × regexes (plus generated workloads on a scenario
   instance);
-* **the aggregate boundary** — ``count_distinct`` must resolve
-  array-side: a probe on the tuple-materialising shim asserts no
-  engine's count path ever builds a Python tuple.
+* **the registries** every extension point resolves through.
 """
 
 from __future__ import annotations
@@ -25,7 +23,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles.reference_bfs import ReferenceSparqlEngine
-from repro.engine import ENGINES, ResultSet, count_distinct, evaluate_query
+from oracles.tuples import rows as row_set
+from repro.engine import ENGINES, ResultSet, evaluate_query
 from repro.errors import EngineError, TranslationError
 from repro.generation.generator import generate_graph
 from repro.generation.graph import LabeledGraph
@@ -38,7 +37,6 @@ from repro.queries.ast import (
     symbol_base,
 )
 from repro.queries.generator import generate_workload
-from repro.queries.parser import parse_query
 from repro.queries.size import QuerySize
 from repro.queries.workload import WorkloadConfiguration
 from repro.registry import Registry
@@ -57,7 +55,7 @@ from repro.translate import TRANSLATORS
 
 class TestResultSetConstruction:
     def test_from_tuples_canonicalises(self):
-        rs = ResultSet([(3, 1), (0, 2), (3, 1)])
+        rs = ResultSet.from_rows([(3, 1), (0, 2), (3, 1)])
         assert rs.arity == 2
         assert rs.count() == 2 == len(rs)
         sources, targets = rs.arrays()
@@ -67,27 +65,27 @@ class TestResultSetConstruction:
         keys = np.array([(1 << 32) | 5, (2 << 32) | 7], dtype=np.int64)
         rs = ResultSet.from_keys(keys)
         assert rs.key_array is keys
-        assert rs.to_set() == {(1, 5), (2, 7)}
+        assert row_set(rs) == {(1, 5), (2, 7)}
 
     def test_from_column_and_table(self):
         rs1 = ResultSet.from_column(np.array([4, 1, 4]))
-        assert rs1.arity == 1 and rs1.to_set() == {(1,), (4,)}
+        assert rs1.arity == 1 and row_set(rs1) == {(1,), (4,)}
         rs3 = ResultSet.from_table(
             np.array([[1, 2, 3], [1, 2, 3], [0, 0, 0]])
         )
         assert rs3.arity == 3 and rs3.count() == 2
 
     def test_unit_and_empty(self):
-        assert ResultSet.unit().to_set() == {()}
+        assert row_set(ResultSet.unit()) == {()}
         assert bool(ResultSet.unit()) and not bool(ResultSet.empty(2))
         assert ResultSet.empty(1).count() == 0
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ResultSet([(1, 2)], arity=3)
+            ResultSet.from_rows([(1, 2)], arity=3)
 
     def test_arrays_are_read_only(self):
-        rs = ResultSet([(1, 2), (3, 4)])
+        rs = ResultSet.from_rows([(1, 2), (3, 4)])
         for column in rs.arrays():
             with pytest.raises(ValueError):
                 column[0] = 9
@@ -95,10 +93,10 @@ class TestResultSetConstruction:
     def test_relation_round_trip(self):
         from repro.engine.relations import BinaryRelation
 
-        relation = BinaryRelation([(5, 6), (1, 2)])
+        relation = BinaryRelation.from_arrays([5, 1], [6, 2])
         rs = ResultSet.from_relation(relation)
         assert rs.key_array is relation.key_array  # zero-copy
-        assert rs.to_relation() == relation
+        assert BinaryRelation.from_keys(rs.key_array) == relation
 
 
 class TestResultSetAlgebra:
@@ -111,35 +109,35 @@ class TestResultSetAlgebra:
         ],
     )
     def test_union_difference_match_set_semantics(self, left, right):
-        left_rs, right_rs = ResultSet(left), ResultSet(right)
-        assert left_rs.union(right_rs).to_set() == set(left) | set(right)
-        assert left_rs.difference(right_rs).to_set() == set(left) - set(right)
+        left_rs, right_rs = ResultSet.from_rows(left), ResultSet.from_rows(right)
+        assert row_set(left_rs.union(right_rs)) == set(left) | set(right)
+        assert row_set(left_rs.difference(right_rs)) == set(left) - set(right)
 
     def test_union_of_booleans(self):
         assert ResultSet.unit().union(ResultSet.empty(0)).count() == 1
         assert ResultSet.empty(0).union(ResultSet.empty(0)).count() == 0
 
     def test_union_with_same_arity_empty_is_identity(self):
-        rs = ResultSet([(1, 2)])
+        rs = ResultSet.from_rows([(1, 2)])
         assert rs.union(ResultSet.empty(2)) is rs
         assert ResultSet.empty(2).union(rs) is rs
 
     def test_union_arity_mismatch_raises(self):
         with pytest.raises(ValueError):
-            ResultSet([(1, 2)]).union(ResultSet([(1,)]))
+            ResultSet.from_rows([(1, 2)]).union(ResultSet.from_rows([(1,)]))
         # ... even when one operand is empty: a silent arity flip in an
         # accumulator would fail far from the bug site.
         with pytest.raises(ValueError):
-            ResultSet.empty(2).union(ResultSet([(1,)]))
+            ResultSet.empty(2).union(ResultSet.from_rows([(1,)]))
         with pytest.raises(ValueError):
-            ResultSet([(1, 2)]).difference(ResultSet.empty(1))
+            ResultSet.from_rows([(1, 2)]).difference(ResultSet.empty(1))
 
     def test_project(self):
-        rs = ResultSet([(1, 2, 3), (1, 5, 3), (2, 2, 3)])
-        assert rs.project([0]).to_set() == {(1,), (2,)}
-        assert rs.project([0, 2]).to_set() == {(1, 3), (2, 3)}
+        rs = ResultSet.from_rows([(1, 2, 3), (1, 5, 3), (2, 2, 3)])
+        assert row_set(rs.project([0])) == {(1,), (2,)}
+        assert row_set(rs.project([0, 2])) == {(1, 3), (2, 3)}
         assert rs.project([2, 1, 0]).count() == 3
-        assert rs.project([]).to_set() == {()}
+        assert row_set(rs.project([])) == {()}
         with pytest.raises(ValueError):
             rs.project([3])
 
@@ -156,48 +154,27 @@ class TestResultSetAlgebra:
     @settings(max_examples=50, deadline=None)
     def test_kary_algebra_matches_sets(self, rows, other):
         """Property: the unique-row kernels agree with Python sets."""
-        mine = ResultSet(rows, arity=3)
-        theirs = ResultSet(other, arity=3)
-        assert mine.union(theirs).to_set() == set(rows) | set(other)
-        assert mine.difference(theirs).to_set() == set(rows) - set(other)
-        assert mine.project([1, 2]).to_set() == {r[1:] for r in rows}
+        mine = ResultSet.from_rows(rows, arity=3)
+        theirs = ResultSet.from_rows(other, arity=3)
+        assert row_set(mine.union(theirs)) == set(rows) | set(other)
+        assert row_set(mine.difference(theirs)) == set(rows) - set(other)
+        assert row_set(mine.project([1, 2])) == {r[1:] for r in rows}
 
 
-class TestResultSetCompatShim:
-    """The seed-era set[tuple] idioms must keep working (deprecation
-    shim: downstream code migrates without semantic change)."""
+class TestResultSetIsColumnsOnly:
+    """A ResultSet equals only another ResultSet (the guard in
+    ``test_misc_units.py`` pins that it is not iterable)."""
 
-    def test_equality_against_sets(self):
-        rs = ResultSet([(1, 2), (3, 4)])
-        assert rs == {(1, 2), (3, 4)}
-        assert {(1, 2), (3, 4)} == rs
-        assert rs != {(1, 2)}
-        assert ResultSet([]) == set()
+    def test_equality_is_columnar(self):
+        rs = ResultSet.from_rows([(1, 2), (3, 4)])
+        assert rs == ResultSet.from_rows([(3, 4), (1, 2)])
+        assert rs != ResultSet.from_rows([(1, 2)])
+        assert rs != {(1, 2), (3, 4)}
         assert ResultSet.empty(2) == ResultSet.empty(0)  # empty is empty
-
-    def test_contains(self):
-        rs = ResultSet([(1, 2), (3, 4)])
-        assert (1, 2) in rs and (2, 1) not in rs
-        assert (1,) not in rs and "nope" not in rs and (-1, 2) not in rs
-        assert (7,) in ResultSet([(7,)])
-        assert () in ResultSet.unit() and () not in ResultSet.empty(0)
-        assert (1, 2, 3) in ResultSet([(1, 2, 3)])
-
-    def test_set_operators_via_abc(self):
-        rs = ResultSet([(1, 2), (3, 4)])
-        assert rs <= {(1, 2), (3, 4), (5, 6)}
-        assert {(1, 2)} & rs == {(1, 2)}
-        assert rs | {(5, 6)} == {(1, 2), (3, 4), (5, 6)}
-        assert rs - {(1, 2)} == {(3, 4)}
-
-    def test_iteration_yields_plain_tuples(self):
-        for row in ResultSet([(1, 2)]):
-            assert row == (1, 2)
-            assert all(type(value) is int for value in row)
 
     def test_count_distinct_equals_seed_len(self):
         rows = [(1, 2), (1, 2), (3, 4)]
-        rs = ResultSet(rows)
+        rs = ResultSet.from_rows(rows)
         assert rs.count() == rs.count_distinct() == len(set(rows))
 
 
@@ -210,17 +187,17 @@ class TestIterNdjson:
         return json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
 
     def test_binary_round_trip(self):
-        rs = ResultSet([(3, 1), (0, 2), (3, 1)])
+        rs = ResultSet.from_rows([(3, 1), (0, 2), (3, 1)])
         header, rows = self._decode(rs)
         assert header == {"record": "result", "arity": 2, "rows": 2,
                           "complete": True}
-        assert {tuple(row) for row in rows} == rs.to_set()
+        assert {tuple(row) for row in rows} == row_set(rs)
 
     def test_unary_and_kary_shapes(self):
-        header, rows = self._decode(ResultSet([(5,), (2,)]))
+        header, rows = self._decode(ResultSet.from_rows([(5,), (2,)]))
         assert header["arity"] == 1
         assert {tuple(row) for row in rows} == {(5,), (2,)}
-        header, rows = self._decode(ResultSet([(1, 2, 3), (4, 5, 6)]))
+        header, rows = self._decode(ResultSet.from_rows([(1, 2, 3), (4, 5, 6)]))
         assert header["arity"] == 3 and header["rows"] == 2
         assert {tuple(row) for row in rows} == {(1, 2, 3), (4, 5, 6)}
 
@@ -234,19 +211,19 @@ class TestIterNdjson:
         assert header["rows"] == 0 and rows == []
 
     def test_chunking_preserves_rows(self):
-        rs = ResultSet([(i, i + 1) for i in range(7)])
+        rs = ResultSet.from_rows([(i, i + 1) for i in range(7)])
         chunks = list(rs.iter_ndjson(chunk_rows=2))
         # header + ceil(7/2) row chunks, each chunk holding whole lines
         assert len(chunks) == 1 + 4
         header, rows = self._decode(rs, chunk_rows=2)
         assert header["rows"] == 7 == len(rows)
-        assert {tuple(row) for row in rows} == rs.to_set()
+        assert {tuple(row) for row in rows} == row_set(rs)
 
     def test_incomplete_result_carries_abort_trailer(self):
         from repro.execution.context import AbortReport
 
         report = AbortReport(reason="row cap", resource="rows", amount=9)
-        rs = ResultSet([(1, 2)]).mark_incomplete(report)
+        rs = ResultSet.from_rows([(1, 2)]).mark_incomplete(report)
         lines = "".join(rs.iter_ndjson()).splitlines()
         header = json.loads(lines[0])
         trailer = json.loads(lines[-1])
@@ -466,7 +443,7 @@ class TestEveryEngineMatchesSeedAnswers:
         )
         result = _engine(name).evaluate(binary_path_query(regex), graph)
         assert isinstance(result, ResultSet)
-        assert result.to_set() == expected, regex.to_text()
+        assert row_set(result) == expected, regex.to_text()
         assert result.count() == result.count_distinct() == len(expected)
 
     @given(a_edges=_edges, b_edges=_edges, regex=_cypher_safe_regexes)
@@ -479,7 +456,7 @@ class TestEveryEngineMatchesSeedAnswers:
             N, {"a": set(a_edges), "b": set(b_edges)}, regex
         )
         result = ENGINES["cypher"].evaluate(binary_path_query(regex), graph)
-        assert result.to_set() == expected, regex.to_text()
+        assert row_set(result) == expected, regex.to_text()
 
 
 @pytest.fixture(scope="module")
@@ -498,8 +475,8 @@ class TestGeneratedWorkloadParity:
     )
     def test_workload_resultsets_round_trip(self, bib_graph_600, seed):
         """Generated workloads: every registered engine returns a
-        ResultSet whose compat surface is self-consistent and (for the
-        homomorphic engines) pairwise equal."""
+        ResultSet whose rows are unique and (for the homomorphic
+        engines) pairwise equal."""
         workload = generate_workload(
             WorkloadConfiguration(
                 bib_graph_600.config,
@@ -516,60 +493,11 @@ class TestGeneratedWorkloadParity:
             for name in ("postgres", "sparql", "datalog"):
                 result = evaluate_query(generated.query, bib_graph_600, name)
                 assert isinstance(result, ResultSet)
-                as_set = result.to_set()
+                as_set = row_set(result)
                 assert len(as_set) == result.count() == len(result)
-                assert result == as_set
                 if reference is None:
                     reference = result
                 else:
                     assert result == reference, (
                         name, generated.query.to_text()
                     )
-
-
-# ---------------------------------------------------------------------------
-# The aggregate boundary: counts never materialise tuples
-# ---------------------------------------------------------------------------
-
-COUNT_QUERIES = [
-    "(?x, ?y) <- (?x, authors, ?y)",
-    "(?x, ?y) <- (?x, (authors.publishedIn + authors.extendedTo), ?y)",
-    "(?x, ?y) <- (?x, (extendedTo)*, ?y)",
-    "(?x) <- (?x, publishedIn, ?y), (?y, heldIn, ?z)",
-    "() <- (?x, heldIn, ?y)",
-]
-
-
-class TestCountDistinctIsColumnar:
-    @pytest.mark.parametrize("name", sorted(ENGINES))
-    def test_no_tuple_materialization_on_count_path(
-        self, bib_graph_600, name, monkeypatch
-    ):
-        """Regression: ``count(distinct ?v)`` resolves via array ops.
-
-        Any call into the tuple-materialising shim (``iter_rows``,
-        ``to_set``) during ``count_distinct`` is a reintroduced seed
-        hot path and fails here.
-        """
-        expected = [
-            count_distinct(parse_query(text), bib_graph_600, name)
-            for text in COUNT_QUERIES
-        ]
-
-        probes: list[str] = []
-
-        def probed_iter_rows(self):
-            probes.append("iter_rows")
-            return iter(())
-
-        monkeypatch.setattr(ResultSet, "iter_rows", probed_iter_rows)
-        monkeypatch.setattr(
-            ResultSet, "to_set", lambda self: probes.append("to_set")
-        )
-
-        counted = [
-            count_distinct(parse_query(text), bib_graph_600, name)
-            for text in COUNT_QUERIES
-        ]
-        assert counted == expected
-        assert probes == [], f"{name} count path materialised tuples"

@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -87,10 +88,14 @@ class TestWriters:
         assert path.read_text(encoding="utf-8") == "".join(
             f"{source} {label} {target}\n"
             for label in bib_graph.labels()
-            for source, target in bib_graph.edges_with_label(label)
+            for source, target in zip(
+                *(column.tolist() for column in bib_graph.edge_arrays(label))
+            )
         )
         restored = read_edge_list(path, bib_graph.config)
-        assert sorted(restored.triples()) == sorted(bib_graph.triples())
+        assert sorted(restored.labels()) == sorted(bib_graph.labels())
+        for label in bib_graph.labels():
+            assert np.array_equal(restored.edge_keys(label), bib_graph.edge_keys(label))
 
     def test_ntriples_includes_types_and_edges(self, bib_graph, tmp_path):
         path = tmp_path / "graph.nt"
@@ -109,7 +114,7 @@ class TestWriters:
             with open(path, encoding="utf-8") as handle:
                 lines = handle.read().splitlines()
             assert lines[0] == "source,target"
-            assert len(lines) - 1 == len(bib_graph.edges_with_label(label))
+            assert len(lines) - 1 == bib_graph.edge_keys(label).size
 
 
 class TestCli:
