@@ -31,6 +31,7 @@ from repro.columnar import (
     as_id_array,
     dedup_sorted,
     expand_join,
+    frozen,
     keys_difference,
     merge_keys,
     pack_pairs,
@@ -149,7 +150,7 @@ class BinaryRelation:
 
     def sources(self) -> np.ndarray:
         """Distinct sources (read-only sorted array)."""
-        return dedup_sorted(self._store.first)
+        return frozen(dedup_sorted(self._store.first))
 
     # -- algebra ----------------------------------------------------------
 

@@ -205,6 +205,24 @@ class TestTransactionalMutation:
         assert inserted >= 0
         graph.self_check()
 
+    def test_failed_batch_merge_keeps_built_indexes(self):
+        store = PairStore(domain_size=50)
+        store.add_batch(np.array([1, 2]), np.array([4, 5]))
+        seconds, firsts = store.backward()
+        indptr = store.forward_indptr()
+        with FAULTS.inject("columnar.batch_merge", MemoryError, nth=1):
+            with pytest.raises(MemoryError):
+                store.add_batch(np.array([3]), np.array([6]))
+        # Nothing lost, nothing stale: the built indexes still describe
+        # the store, and the retry lands the batch and refreshes them.
+        assert store.backward()[0] is seconds and store.backward()[1] is firsts
+        assert store.forward_indptr() is indptr
+        store.self_check()
+        assert store.add_batch(np.array([3]), np.array([6])) == 1
+        assert store.backward()[0].tolist() == [4, 5, 6]
+        assert np.diff(store.forward_indptr())[3] == 1
+        store.self_check()
+
     def test_failed_csr_build_retries_clean(self):
         store = PairStore(domain_size=50)
         store.add_batch(np.array([1, 2, 3]), np.array([4, 5, 6]))

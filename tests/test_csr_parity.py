@@ -3,9 +3,9 @@
 The CSR :class:`~repro.generation.graph.LabeledGraph` must be a
 behavioural drop-in for the retained
 :class:`~oracles.reference.ReferenceLabeledGraph` — identical
-``statistics()``, degree arrays, per-node CSR slices, and engine
-answer sets on seeded instances — and the columnar backend must hand
-out read-only arrays.
+``statistics()``, degree arrays, per-node CSR slices, edge sets and
+engine answer sets on seeded instances — and the columnar backend must
+see every batch through every accessor and hand out read-only arrays.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from hypothesis import strategies as st
 
 from oracles.reference import ReferenceLabeledGraph
 from oracles.tuples import pairs as pair_set
+from repro.columnar import PairStore, keys_contain_many, pack_pairs, unpack_keys
+from repro.engine.budget import unlimited
+from repro.engine.closure import ClosureRelation
 from repro.engine.evaluator import evaluate_query
 from repro.engine.relations import BinaryRelation
 from repro.generation.generator import generate_edge_stream
@@ -78,6 +81,23 @@ class TestGraphParity:
             assert np.array_equal(col_src, ref_src)
             assert np.array_equal(col_trg, ref_trg)
 
+    def test_triples_identical(self, backend_pair):
+        """The packed key columns hold exactly the reference's edge sets."""
+        columnar, reference = backend_pair
+        columnar_triples = {
+            (source, label, target)
+            for label in columnar.labels()
+            for source, target in zip(
+                *(column.tolist() for column in unpack_keys(columnar.edge_keys(label)))
+            )
+        }
+        reference_triples = {
+            (source, label, target)
+            for label in reference.labels()
+            for source, target in reference.edges_with_label(label)
+        }
+        assert columnar_triples == reference_triples
+
     @pytest.mark.parametrize("engine", ["datalog", "postgres", "sparql", "cypher"])
     def test_engine_answer_sets_identical(self, backend_pair, engine):
         columnar, reference = backend_pair
@@ -103,8 +123,44 @@ class TestGraphParity:
         )
 
 
+class TestInterleavedConstruction:
+    """Bulk batches and reads interleave on one store: every read after
+    a batch sees it, including the lazily built CSR indexes."""
+
+    def test_batches_visible_through_every_accessor(self):
+        config = GraphConfiguration(100, scenario_schema("bib"))
+        graph = LabeledGraph(config)
+        assert graph.add_edges("authors", [3], [7]) == 1
+        assert graph.add_edges("authors", [3], [7]) == 0
+        assert graph.edge_count == 1
+        # Build both CSR directions, then write again: they must refresh.
+        assert graph.successors_array(3, "authors").tolist() == [7]
+        assert graph.in_degrees("authors")[7] == 1
+        assert graph.add_edges("authors", [3, 4], [7, 8]) == 1  # (3, 7) present
+        assert graph.add_edges("authors", [4], [9]) == 1
+        assert graph.neighbours_array(8, "authors-").tolist() == [4]
+        assert graph.successors_array(4, "authors").tolist() == [8, 9]
+        assert graph.out_degrees("authors").sum() == 3
+        indptr, payload = graph.csr_arrays("authors")
+        assert payload[indptr[4]:indptr[5]].tolist() == [8, 9]
+        sources, targets = graph.edge_arrays("authors")
+        assert list(zip(sources.tolist(), targets.tolist())) == [
+            (3, 7), (4, 8), (4, 9),
+        ]
+
+    def test_edge_membership_via_keys(self):
+        config = GraphConfiguration(100, scenario_schema("bib"))
+        graph = LabeledGraph(config)
+        graph.add_edges("authors", [1], [2])
+        probes = pack_pairs(np.array([1, 2]), np.array([2, 1]))
+        assert keys_contain_many(graph.edge_keys("authors"), probes).tolist() == [
+            True, False,
+        ]
+        assert not keys_contain_many(graph.edge_keys("publishedIn"), probes).any()
+
+
 class TestMutationSafety:
-    """Returned arrays are read-only views."""
+    """Returned arrays are read-only views, on hit and miss alike."""
 
     def test_graph_arrays_read_only(self):
         config = GraphConfiguration(100, scenario_schema("bib"))
@@ -116,6 +172,46 @@ class TestMutationSafety:
         sources, _ = graph.edge_arrays("authors")
         with pytest.raises(ValueError):
             sources[0] = 5
+
+    def test_graph_arrays_read_only_on_miss(self):
+        config = GraphConfiguration(100, scenario_schema("bib"))
+        graph = LabeledGraph(config)
+        graph.add_edges("authors", [1], [2])
+        misses = [
+            graph.successors_array(5, "authors"),
+            graph.predecessors_array(5, "authors"),
+            graph.successors_array(1, "publishedIn"),
+            graph.neighbours_array(1, "publishedIn-"),
+            *graph.edge_arrays("publishedIn"),
+            graph.edge_keys("publishedIn"),
+        ]
+        for miss in misses:
+            assert miss.size == 0 and not miss.flags.writeable
+        assert graph.successors_array(1, "authors").tolist() == [2]
+
+    def test_relation_arrays_read_only(self):
+        relation = BinaryRelation.from_arrays([1, 1, 3], [2, 3, 1])
+        columns = [
+            relation.source_array,
+            relation.target_array,
+            relation.key_array,
+            *relation.backward_arrays(),
+            relation.sources(),
+        ]
+        for column in columns:
+            with pytest.raises(ValueError):
+                column[0] = 999
+        assert pair_set(relation) == {(1, 2), (1, 3), (3, 1)}
+
+    def test_closure_restrict_read_only_on_hit_and_miss(self):
+        closure = ClosureRelation(relation_of([(0, 1), (1, 2)]), 4)
+        hit = closure.restrict(np.array([0]), unlimited())
+        miss = closure.restrict(np.array([42]), unlimited())
+        with pytest.raises(ValueError):
+            hit.target_array[0] = 999
+        assert len(miss) == 0 and not miss.target_array.flags.writeable
+        again = closure.restrict(np.array([0]), unlimited())
+        assert again.target_array.tolist() == [0, 1, 2]
 
 
 def relation_of(pairs) -> BinaryRelation:
@@ -174,3 +270,22 @@ class TestRelationAlgebraParity:
         digraph.add_nodes_from(range(41))
         expected = set(nx.transitive_closure(digraph, reflexive=True).edges())
         assert pair_set(closure) == expected
+
+    @given(pairs=PAIRS, batches=st.lists(PAIRS, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_interleaved_batches_and_reads(self, pairs, batches):
+        """Batches merged one after another, with index reads between
+        them, match eager set semantics after every batch."""
+        store = PairStore(domain_size=41)
+        oracle: set[tuple[int, int]] = set()
+        for batch in [pairs, *batches]:
+            columns = np.array(batch, dtype=np.int64).reshape(-1, 2)
+            assert store.add_batch(columns[:, 0], columns[:, 1]) == len(
+                set(batch) - oracle
+            )
+            oracle |= set(batch)
+            store.self_check()
+            assert set(zip(store.first.tolist(), store.second.tolist())) == oracle
+            seconds, firsts = store.backward()
+            assert set(zip(firsts.tolist(), seconds.tolist())) == oracle
+            assert np.diff(store.forward_indptr()).sum() == len(oracle)

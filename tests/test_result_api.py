@@ -1,6 +1,6 @@
-"""Columnar result-API tests: ResultSet, engine parity, and Registry.
+"""Columnar result-API tests: ResultSet, engine parity, Registry, counts.
 
-Three pillars of the PR-4 redesign are pinned here:
+The pillars of the columnar result API are pinned here:
 
 * **ResultSet semantics** — unit tests of the columnar representations
   (0/1/2/k-ary), the sorted-key set algebra, and the columns-only
@@ -10,7 +10,10 @@ Three pillars of the PR-4 redesign are pinned here:
   answers, oracled by an independent pure-Python relational evaluator
   on random graphs × regexes (plus generated workloads on a scenario
   instance);
-* **the registries** every extension point resolves through.
+* **the registries** every extension point resolves through;
+* **the aggregate boundary** — ``count_distinct`` must resolve
+  array-side: probes on the tuple constructor and the row serialiser
+  assert no engine's count path ever builds a Python tuple.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from hypothesis import strategies as st
 
 from oracles.reference_bfs import ReferenceSparqlEngine
 from oracles.tuples import rows as row_set
-from repro.engine import ENGINES, ResultSet, evaluate_query
+from repro.engine import ENGINES, ResultSet, count_distinct, evaluate_query
 from repro.errors import EngineError, TranslationError
 from repro.generation.generator import generate_graph
 from repro.generation.graph import LabeledGraph
@@ -37,6 +40,7 @@ from repro.queries.ast import (
     symbol_base,
 )
 from repro.queries.generator import generate_workload
+from repro.queries.parser import parse_query
 from repro.queries.size import QuerySize
 from repro.queries.workload import WorkloadConfiguration
 from repro.registry import Registry
@@ -501,3 +505,53 @@ class TestGeneratedWorkloadParity:
                     assert result == reference, (
                         name, generated.query.to_text()
                     )
+
+
+# ---------------------------------------------------------------------------
+# The aggregate boundary: counts never materialise tuples
+# ---------------------------------------------------------------------------
+
+COUNT_QUERIES = [
+    "(?x, ?y) <- (?x, authors, ?y)",
+    "(?x, ?y) <- (?x, (authors.publishedIn + authors.extendedTo), ?y)",
+    "(?x, ?y) <- (?x, (extendedTo)*, ?y)",
+    "(?x) <- (?x, publishedIn, ?y), (?y, heldIn, ?z)",
+    "() <- (?x, heldIn, ?y)",
+]
+
+
+class TestCountDistinctIsColumnar:
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_no_tuple_materialization_on_count_path(
+        self, bib_graph_600, name, monkeypatch
+    ):
+        """Regression: ``count(distinct ?v)`` resolves via array ops.
+
+        The tuple ways in and out of a result are ``from_rows`` (the one
+        tuple constructor) and ``iter_ndjson`` (row serialisation); a
+        call to either during ``count_distinct`` is a reintroduced seed
+        hot path and fails here.
+        """
+        expected = [
+            count_distinct(parse_query(text), bib_graph_600, name)
+            for text in COUNT_QUERIES
+        ]
+
+        probes: list[str] = []
+
+        def probe(entry):
+            def probed(*args, **kwargs):
+                probes.append(entry)
+                raise AssertionError(f"{entry} on the count path")
+
+            return probed
+
+        monkeypatch.setattr(ResultSet, "from_rows", probe("from_rows"))
+        monkeypatch.setattr(ResultSet, "iter_ndjson", probe("iter_ndjson"))
+
+        counted = [
+            count_distinct(parse_query(text), bib_graph_600, name)
+            for text in COUNT_QUERIES
+        ]
+        assert counted == expected
+        assert probes == [], f"{name} count path materialised tuples"
