@@ -13,7 +13,10 @@ everything else is built from:
   ``np.searchsorted`` — on the write side and the read side alike (the
   frontier sweep, seeds, closures, result normalisation) — not
   ``np.unique``, whose hash path on NumPy >= 2.3 is 3x (n = 100) to 27x
-  (n = 400 k) slower on ``int64`` keys (measured on 2.4.6);
+  (n = 400 k) slower on ``int64`` keys (measured on 2.4.6).  Row
+  matrices (k-ary results, G's head projection) get the same treatment
+  with ``np.lexsort`` in place of ``sort()`` (:func:`unique_rows`,
+  :func:`rows_in`), not ``np.unique`` with ``axis=0``;
 * CSR-style slicing: because keys sort lexicographically by the first
   column, the unpacked ``first`` column is itself sorted, so the pairs
   of one source are a contiguous slice found by binary search — no
@@ -253,34 +256,48 @@ def segmented_weighted_choice(
     return np.minimum(np.maximum(picks, starts), ends - 1)
 
 
+def _row_order(table: np.ndarray) -> np.ndarray:
+    """Stable lexicographic row order, the first column as primary key
+    (``np.lexsort`` takes its *last* key as primary)."""
+    return np.lexsort(table.T[::-1])
+
+
 def unique_rows(table: np.ndarray) -> np.ndarray:
     """Lexicographically sorted unique rows of an ``(n, k)`` matrix.
 
     The k-ary generalisation of a sorted key column: result rows hold
     the same invariant (sorted, deduplicated) that packed keys give the
     binary case, so k-ary result groups share the merge/difference
-    algebra below.
+    algebra below.  Lexsort + adjacent mask — a sorted row is kept when
+    it differs from its predecessor — gives exactly what ``np.unique``
+    with ``axis=0`` gives, at ~3x its speed (20 k ``(n, 2)`` rows:
+    3.9 vs 12.4 ms, NumPy 2.4.6 on a 2-core Xeon).  The input is never
+    mutated; the result is a fresh C-contiguous ``int64`` matrix.
     """
-    if table.shape[0] == 0:
-        return np.ascontiguousarray(table, dtype=np.int64)
-    return np.unique(np.ascontiguousarray(table, dtype=np.int64), axis=0)
+    table = np.asarray(table, dtype=np.int64)
+    if table.shape[0] < 2:
+        return np.array(table, order="C")
+    rows = table[_row_order(table)]
+    return rows[np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))]
 
 
 def rows_in(candidates: np.ndarray, existing: np.ndarray) -> np.ndarray:
     """Boolean row-membership mask of one unique-row matrix in another.
 
-    Both inputs must be unique-row matrices (:func:`unique_rows`), so a
-    row appearing twice in their concatenation is exactly a row present
-    in both — one ``np.unique(..., return_counts)`` pass, no per-row
-    hashing or tuple construction.
+    Lexsort + adjacent mask over ``existing`` then ``candidates``.  Both
+    inputs must be unique-row matrices (:func:`unique_rows`), so a row
+    equal to its sorted predecessor is a row present in both; the sort
+    is stable, so the ``existing`` copy comes first and the repeat is
+    the candidate's.  No per-row hashing or tuple construction.
     """
     if existing.shape[0] == 0 or candidates.shape[0] == 0:
         return np.zeros(candidates.shape[0], dtype=bool)
     combined = np.concatenate((existing, candidates))
-    _, inverse, counts = np.unique(
-        combined, axis=0, return_inverse=True, return_counts=True
-    )
-    return counts[inverse[existing.shape[0]:]] == 2
+    order = _row_order(combined)
+    rows = combined[order]
+    found = np.zeros(combined.shape[0], dtype=bool)
+    found[order[1:][np.all(rows[1:] == rows[:-1], axis=1)]] = True
+    return found[existing.shape[0]:]
 
 
 def expand_join(

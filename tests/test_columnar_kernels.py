@@ -1,12 +1,13 @@
 """The sort + adjacent-mask kernels (:mod:`repro.columnar`).
 
 ``sorted_unique`` / ``merge_keys`` / ``sorted_unique_keys`` replaced
-1-D ``np.unique`` on the write path and the read path, so what
-``np.unique`` gave for free is pinned here: parity with the NumPy set
-routines on every input shape, the no-mutation / any-integer-input
-contract, probes proving no write- or read-path call reaches a 1-D
-``np.unique`` any more, and the validation of what a bulk insert is
-handed.
+1-D ``np.unique`` on the write path and the read path, and the lexsort
+kernels ``unique_rows`` / ``rows_in`` replaced ``np.unique(axis=0)``
+for row matrices, so what ``np.unique`` gave for free is pinned here:
+parity with the NumPy set routines on every input shape, the
+no-mutation / any-integer-input contract, probes proving no write- or
+read-path call reaches ``np.unique`` any more, and the validation of
+what a bulk insert is handed.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.lib import _arraysetops_impl
 
 from repro.columnar import (
@@ -24,8 +26,10 @@ from repro.columnar import (
     PairStore,
     merge_keys,
     pack_pairs,
+    rows_in,
     sorted_unique,
     sorted_unique_keys,
+    unique_rows,
 )
 from repro.engine.budget import unlimited
 from repro.engine.closure import ClosureRelation
@@ -35,7 +39,7 @@ from repro.engine.resultset import ResultSet
 from repro.generation.generator import generate_edge_stream, generate_graph
 from repro.generation.graph import LabeledGraph
 from oracles.reference import ReferenceLabeledGraph
-from oracles.tuples import pairs
+from oracles.tuples import pairs, rows
 from repro.generation.writers import read_edge_list, write_edge_list
 from repro.queries.generator import generate_workload
 from repro.queries.shapes import QueryShape
@@ -178,6 +182,90 @@ class TestKernelContract:
         store.self_check()
 
 
+def row_tables(width=st.integers(1, 4)):
+    """``(n, k)`` row matrices, n = 0..200: values 0..3 make duplicate
+    rows common."""
+    shape = st.tuples(st.integers(0, 200), width)
+    return arrays(np.int64, shape, elements=st.integers(0, 3))
+
+
+@st.composite
+def unique_row_pairs(draw):
+    """Two unique-row matrices of one width (``rows_in``'s contract)."""
+    width = st.just(draw(st.integers(1, 4)))
+    candidates, existing = draw(row_tables(width)), draw(row_tables(width))
+    return np.unique(candidates, axis=0), np.unique(existing, axis=0)
+
+
+def assert_rows(result: np.ndarray, expected: np.ndarray) -> None:
+    assert result.dtype == np.int64
+    assert result.flags.c_contiguous and result.flags.writeable
+    assert result.shape == expected.shape
+    assert np.array_equal(result, expected)
+
+
+def membership_oracle(candidates: np.ndarray, existing: np.ndarray) -> list[bool]:
+    present = set(map(tuple, existing.tolist()))
+    return [tuple(row) in present for row in candidates.tolist()]
+
+
+def read_only(table: np.ndarray) -> np.ndarray:
+    table = table.copy()
+    table.setflags(write=False)
+    return table
+
+
+class TestRowKernels:
+    """``unique_rows`` / ``rows_in`` against ``np.unique(axis=0)`` and a
+    set-of-tuples oracle."""
+
+    @given(row_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_unique_rows_is_np_unique_axis0(self, table):
+        assert_rows(unique_rows(table), np.unique(table, axis=0))
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            lambda t: t.astype(np.int32),
+            read_only,
+            lambda t: t[::2],
+            lambda t: t[:, [2, 0]],
+        ],
+        ids=["int32", "read-only", "strided", "fancy-indexed"],
+    )
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_unique_rows_input_contract(self, view, n):
+        base = np.array(
+            [[3, 1, 0], [0, 2, 2], [3, 1, 0], [1, 0, 2], [0, 2, 2], [3, 0, 1]],
+            dtype=np.int64,
+        )
+        table = view(base[:n])
+        snapshot = table.copy()
+        result = unique_rows(table)
+        assert_rows(result, np.unique(table, axis=0))
+        assert table.dtype == snapshot.dtype and np.array_equal(table, snapshot)
+        assert not np.shares_memory(result, table)
+
+    @given(unique_row_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_in_is_tuple_membership(self, tables):
+        candidates, existing = tables
+        mask = rows_in(candidates, existing)
+        assert mask.dtype == bool
+        assert mask.tolist() == membership_oracle(candidates, existing)
+
+    @pytest.mark.parametrize("empty", ["candidates", "existing", "both"])
+    def test_rows_in_with_an_empty_side(self, empty):
+        table = np.array([[0, 1, 2], [3, 4, 5]], dtype=np.int64)
+        none = np.zeros((0, 3), dtype=np.int64)
+        candidates = none if empty != "existing" else table
+        existing = none if empty != "candidates" else table
+        mask = rows_in(candidates, existing)
+        assert mask.dtype == bool
+        assert mask.tolist() == membership_oracle(candidates, existing)
+
+
 SCENARIOS = ["bib", "lsn", "sp", "wd"]
 
 
@@ -193,22 +281,24 @@ def assert_equals_reference(graph, reference) -> None:
 @pytest.fixture
 def forbid_unique(monkeypatch):
     """Write- and read-path probe: ``with forbid_unique():`` makes a 1-D
-    ``np.unique`` raise.
+    ``np.unique`` raise; ``with forbid_unique(strict=True):`` makes every
+    ``np.unique`` call raise, ``axis=`` calls included.
 
     NumPy's own set routines (``union1d``, ``setdiff1d``, ...) call the
     module-level ``unique`` rather than ``np.unique``, so both names are
-    patched.  ``axis=`` calls (the row-matrix sites) still delegate.
-    Scoped, so the oracle and the final comparisons may still use it.
+    patched.  Outside strict mode ``axis=`` calls (P's row dedup) still
+    delegate.  Scoped, so the oracle and the final comparisons may still
+    use it.
     """
     original = np.unique
 
-    def guarded(*args, **kwargs):
-        if kwargs.get("axis") is None:
-            raise AssertionError("1-D np.unique reached")
-        return original(*args, **kwargs)
-
     @contextmanager
-    def scope():
+    def scope(strict: bool = False):
+        def guarded(*args, **kwargs):
+            if strict or kwargs.get("axis") is None:
+                raise AssertionError("np.unique reached")
+            return original(*args, **kwargs)
+
         with monkeypatch.context() as patch:
             patch.setattr(np, "unique", guarded)
             patch.setattr(_arraysetops_impl, "unique", guarded)
@@ -258,19 +348,23 @@ def bib_graph_400():
     return generate_graph(GraphConfiguration(400, scenario_schema("bib")), seed=11)
 
 
+def bib_400_workload(graph, shape):
+    return generate_workload(
+        WorkloadConfiguration(
+            graph.config,
+            size=4,
+            arities=(1, 2, 3),
+            shapes=(shape,),
+            recursion_probability=0.5,
+        ),
+        seed=3,
+    )
+
+
 class TestReadPathAvoidsNpUnique:
     @pytest.mark.parametrize("shape", list(QueryShape), ids=lambda s: s.value)
     def test_s_and_d_evaluate_a_workload(self, bib_graph_400, shape, forbid_unique):
-        workload = generate_workload(
-            WorkloadConfiguration(
-                bib_graph_400.config,
-                size=4,
-                arities=(1, 2, 3),
-                shapes=(shape,),
-                recursion_probability=0.5,
-            ),
-            seed=3,
-        )
+        workload = bib_400_workload(bib_graph_400, shape)
         with forbid_unique():
             answers = [
                 [evaluate_query(generated.query, bib_graph_400, engine)
@@ -279,6 +373,14 @@ class TestReadPathAvoidsNpUnique:
             ]
         for sparql, datalog in answers:
             assert sparql == datalog
+
+    @pytest.mark.parametrize("shape", list(QueryShape), ids=lambda s: s.value)
+    def test_g_evaluates_a_workload(self, bib_graph_400, shape, forbid_unique):
+        workload = bib_400_workload(bib_graph_400, shape)
+        queries = [generated.query for generated in workload]
+        with forbid_unique(strict=True):
+            probed = [evaluate_query(q, bib_graph_400, "cypher") for q in queries]
+        assert probed == [evaluate_query(q, bib_graph_400, "cypher") for q in queries]
 
     def test_relation_closure_and_restriction(self, forbid_unique):
         relation = BinaryRelation.from_arrays([0, 1, 2, 5], [1, 2, 0, 5])
@@ -299,6 +401,18 @@ class TestReadPathAvoidsNpUnique:
         assert [c.tolist() for c in column.arrays()] == [[0, 1, 4]]
         assert [c.tolist() for c in binary.arrays()] == [[0, 3], [2, 1]]
         assert [c.tolist() for c in ids.arrays()] == [[2, 9]]
+
+    def test_ternary_result_set_algebra(self, forbid_unique):
+        mine_rows = np.array([[2, 0, 1], [0, 5, 5], [2, 0, 1], [1, 1, 1]])
+        their_rows = np.array([[1, 1, 1], [7, 0, 0], [0, 5, 4]])
+        with forbid_unique(strict=True):
+            mine = ResultSet.from_table(mine_rows)
+            theirs = ResultSet.from_table(their_rows)
+            union = mine.union(theirs)
+            difference = mine.difference(theirs)
+        assert [c.tolist() for c in mine.arrays()] == [[0, 1, 2], [5, 1, 0], [5, 1, 1]]
+        assert rows(union) == {(0, 5, 4), (0, 5, 5), (1, 1, 1), (2, 0, 1), (7, 0, 0)}
+        assert rows(difference) == {(0, 5, 5), (2, 0, 1)}
 
 
 class TestBulkInsertValidation:

@@ -140,11 +140,12 @@ class TestPackaging:
 
 class TestSetOperationAllowlist:
     """1-D columns become sets through ``repro.columnar.sorted_unique``
-    only: ``np.unique`` survives at the ``axis=0`` row-matrix sites
-    listed here, and NumPy's set routines (which call ``np.unique``
-    inside) nowhere."""
+    and row matrices through ``columnar.unique_rows`` / ``rows_in``:
+    ``np.unique`` survives only at the ``axis=0`` row-matrix site listed
+    here, and NumPy's set routines (which call ``np.unique`` inside)
+    nowhere."""
 
-    UNIQUE_SITES = {"sqllike._dedup", "columnar.unique_rows", "columnar.rows_in"}
+    UNIQUE_SITES = {"sqllike._dedup"}
     FORBIDDEN = {"union1d", "isin", "setdiff1d", "intersect1d"}
 
     def test_np_unique_only_at_allowlisted_row_sites(self):
