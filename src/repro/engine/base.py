@@ -185,22 +185,20 @@ class SymbolRelationCache:
         return cached
 
 
-def regex_to_relation(
+def disjunction_relation(
     regex: RegularExpression,
     cache: SymbolRelationCache,
     budget: EvaluationBudget,
 ) -> BinaryRelation:
-    """Evaluate a regular expression to its full binary relation.
+    """The union of a regular expression's disjuncts, ignoring its star.
 
-    Disjuncts compose symbol relations left to right; a starred
-    expression takes the reflexive-transitive closure over *all* graph
-    nodes (ε matches everywhere under UCRPQ semantics).
+    Each disjunct composes symbol relations left to right (ε is the
+    identity over every graph node); the star, if any, is the caller's.
     """
-    graph = cache.graph
     combined: BinaryRelation | None = None
     for path in regex.disjuncts:
         if path.is_epsilon:
-            path_relation = BinaryRelation.identity(range(graph.n))
+            path_relation = BinaryRelation.identity(range(cache.graph.n))
         else:
             path_relation = cache.relation(path.symbols[0])
             for symbol in path.symbols[1:]:
@@ -208,9 +206,24 @@ def regex_to_relation(
         combined = path_relation if combined is None else combined.union(path_relation)
         budget.check_time()
     assert combined is not None  # the AST guarantees >= 1 disjunct
+    return combined
+
+
+def regex_to_relation(
+    regex: RegularExpression,
+    cache: SymbolRelationCache,
+    budget: EvaluationBudget,
+) -> BinaryRelation:
+    """Evaluate a regular expression to its full binary relation.
+
+    A starred expression takes the reflexive-transitive closure of its
+    :func:`disjunction_relation` over *all* graph nodes (ε matches
+    everywhere under UCRPQ semantics).
+    """
+    combined = disjunction_relation(regex, cache, budget)
     if regex.starred:
         # Stars are outermost (§3.3), so the closure never composes
         # further — the SCC-compressed representation suffices for the
         # conjunct join and avoids materialising quadratic pair sets.
-        return ClosureRelation(combined, graph.n, budget)
+        return ClosureRelation(combined, cache.graph.n, budget)
     return combined

@@ -128,8 +128,12 @@ class ResultSet:
         if arity == 0:
             return cls.unit() if table.shape[0] else cls.empty(0)
         if arity == 1:
-            column = np.ascontiguousarray(table[:, 0])
-            if not _strictly_increasing(column):
+            # A sorted column is still a view of the caller's table:
+            # copy it, or writes to the table would reach the result.
+            column = table[:, 0]
+            if _strictly_increasing(column):
+                column = column.copy()
+            else:
                 column = sorted_unique(column)
             return cls(1, column.size, cols=(frozen(column),))
         if arity == 2:

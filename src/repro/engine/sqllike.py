@@ -1,9 +1,10 @@
 """The PostgreSQL-like engine ("P" in the paper's §7).
 
-Vectorised relational evaluation: per-label relations are numpy arrays,
-path concatenations are sorted merge joins, disjunctions are
-``np.unique`` unions — which is why P "typically shows superior
-performance across a broad class of [non-recursive] queries" (§7.2).
+Vectorised relational evaluation: per-label relations are sorted
+packed-key columns, path concatenations are sort-merge joins and
+disjunctions are sorted-set unions (the relation algebra D shares) —
+which is why P "typically shows superior performance across a broad
+class of [non-recursive] queries" (§7.2).
 
 Recursion uses the straightforward SQL:1999 ``WITH RECURSIVE ... UNION``
 translation evaluated as a *naive* fixpoint (each round joins the whole
@@ -17,11 +18,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.columnar import expand_join
-from repro.engine.base import Engine, register_engine
+from repro.engine.base import (
+    Engine,
+    SymbolRelationCache,
+    disjunction_relation,
+    register_engine,
+)
 from repro.engine.budget import EvaluationBudget
 from repro.engine.relations import BinaryRelation
 from repro.generation.graph import LabeledGraph
-from repro.queries.ast import PathExpression, RegularExpression, is_inverse, symbol_base
 
 
 def _dedup(rows: np.ndarray) -> np.ndarray:
@@ -54,63 +59,14 @@ class PostgresLikeEngine(Engine):
 
     name = "postgres"
     paper_system = "P"
-
-    @staticmethod
-    def conjunct_cache(graph: LabeledGraph) -> dict[str, np.ndarray]:
-        """Per-evaluation cache of single-symbol row matrices."""
-        return {}
+    conjunct_cache = SymbolRelationCache
 
     def conjunct_relation(self, regex, graph, budget, cache):
-        return _to_relation(self._regex_rows(regex, graph, cache, budget))
-
-    # -- relational evaluation -----------------------------------------
-
-    def _symbol_rows(
-        self, symbol: str, graph: LabeledGraph, cache: dict[str, np.ndarray]
-    ) -> np.ndarray:
-        rows = cache.get(symbol)
-        if rows is None:
-            # edge_arrays is the columnar store itself: already unique
-            # and sorted by (source, target).  Only the inverse needs a
-            # re-sort after swapping the columns.
-            sources, targets = graph.edge_arrays(symbol_base(symbol))
-            if is_inverse(symbol):
-                rows = _dedup(np.column_stack((targets, sources)))
-            else:
-                rows = np.column_stack((sources, targets))
-            cache[symbol] = rows
-        return rows
-
-    def _path_rows(
-        self,
-        path: PathExpression,
-        graph: LabeledGraph,
-        cache: dict[str, np.ndarray],
-        budget: EvaluationBudget,
-    ) -> np.ndarray:
-        if path.is_epsilon:
-            ids = np.arange(graph.n, dtype=np.int64)
-            return np.column_stack((ids, ids))
-        rows = self._symbol_rows(path.symbols[0], graph, cache)
-        for symbol in path.symbols[1:]:
-            rows = _merge_join(rows, self._symbol_rows(symbol, graph, cache), budget)
-            rows = _dedup(rows)
-        return rows
-
-    def _regex_rows(
-        self,
-        regex: RegularExpression,
-        graph: LabeledGraph,
-        cache: dict[str, np.ndarray],
-        budget: EvaluationBudget,
-    ) -> np.ndarray:
-        parts = [
-            self._path_rows(path, graph, cache, budget) for path in regex.disjuncts
-        ]
-        rows = _dedup(np.vstack(parts)) if len(parts) > 1 else parts[0]
-        if regex.starred:
-            rows = self._recursive_closure(rows, graph, budget)
-        return rows
+        relation = disjunction_relation(regex, cache, budget)
+        if not regex.starred:
+            return relation
+        base = np.column_stack((relation.source_array, relation.target_array))
+        return _to_relation(self._recursive_closure(base, graph, budget))
 
     def _recursive_closure(
         self, base: np.ndarray, graph: LabeledGraph, budget: EvaluationBudget

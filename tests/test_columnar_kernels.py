@@ -348,14 +348,14 @@ def bib_graph_400():
     return generate_graph(GraphConfiguration(400, scenario_schema("bib")), seed=11)
 
 
-def bib_400_workload(graph, shape):
+def bib_400_workload(graph, shape, recursion_probability=0.5):
     return generate_workload(
         WorkloadConfiguration(
             graph.config,
             size=4,
             arities=(1, 2, 3),
             shapes=(shape,),
-            recursion_probability=0.5,
+            recursion_probability=recursion_probability,
         ),
         seed=3,
     )
@@ -381,6 +381,22 @@ class TestReadPathAvoidsNpUnique:
         with forbid_unique(strict=True):
             probed = [evaluate_query(q, bib_graph_400, "cypher") for q in queries]
         assert probed == [evaluate_query(q, bib_graph_400, "cypher") for q in queries]
+
+    @pytest.mark.parametrize("shape", list(QueryShape), ids=lambda s: s.value)
+    def test_p_evaluates_a_recursion_free_workload(
+        self, bib_graph_400, shape, forbid_unique
+    ):
+        """P's paths and disjunctions are packed-key relation algebra;
+        only its star fixpoint keeps the row-matrix ``np.unique``."""
+        workload = bib_400_workload(bib_graph_400, shape, recursion_probability=0)
+        queries = [generated.query for generated in workload]
+        assert not any(
+            conjunct.regex.starred
+            for query in queries for rule in query.rules for conjunct in rule.body
+        )
+        with forbid_unique(strict=True):
+            probed = [evaluate_query(q, bib_graph_400, "postgres") for q in queries]
+        assert probed == [evaluate_query(q, bib_graph_400, "datalog") for q in queries]
 
     def test_relation_closure_and_restriction(self, forbid_unique):
         relation = BinaryRelation.from_arrays([0, 1, 2, 5], [1, 2, 0, 5])

@@ -64,6 +64,33 @@ class TestSqlPrimitives:
         reference = base.transitive_closure(nodes=range(bib_graph.n))
         assert answers == ResultSet.from_relation(reference)
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    def test_naive_recursion_rounds_on_a_path(self, bib_config, k, monkeypatch):
+        """On the k-edge path 0 -> 1 -> ... -> k, ``(a)*`` starts from the
+        identity plus the base and takes k join rounds: k - 1 that add
+        the next path length, one that finds nothing new.  Every round
+        joins the *whole* accumulated table (naive, not semi-naive): its
+        left side holds the n loops plus every path found so far."""
+        from repro.engine import sqllike
+
+        graph = graph_from_triples(
+            bib_config, [(i, "extendedTo", i + 1) for i in range(k)]
+        )
+        left_sizes = []
+
+        def counting_merge_join(left, right, budget):
+            left_sizes.append(len(left))
+            return _merge_join(left, right, budget)
+
+        monkeypatch.setattr(sqllike, "_merge_join", counting_merge_join)
+        answers = PostgresLikeEngine().evaluate(
+            parse_query("(?x, ?y) <- (?x, (extendedTo)*, ?y)"), graph
+        )
+        paths_up_to = [graph.n + sum(k - l + 1 for l in range(1, r + 1))
+                       for r in range(1, k + 1)]
+        assert left_sizes == paths_up_to
+        assert len(answers) == graph.n + k * (k + 1) // 2
+
 
 class TestBfsRelationConstruction:
     def test_regex_relation_matches_algebraic(self, bib_graph):

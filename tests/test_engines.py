@@ -16,7 +16,7 @@ from repro.engine.evaluator import engine_by_name
 from repro.errors import EngineBudgetExceeded, EngineError
 from repro.generation.generator import generate_graph
 from repro.queries.generator import generate_workload
-from repro.queries.parser import parse_query
+from repro.queries.parser import parse_query, parse_regex
 from repro.queries.size import QuerySize
 from repro.queries.workload import WorkloadConfiguration
 from repro.schema.config import GraphConfiguration
@@ -169,6 +169,59 @@ class TestHomomorphicAgreement:
             }
             assert results["postgres"] == results["datalog"]
             assert results["sparql"] == results["datalog"]
+
+
+class TestPostgresDatalogConjunctParity:
+    """On regexes without a star, P's and D's conjunct strategies are the
+    same relation algebra: equal relations, and budget aborts on the same
+    row caps (the ledger screens its mix by those aborts)."""
+
+    REGEXES = [
+        "authors",
+        "authors-",
+        "eps",
+        "authors-.authors.publishedIn",
+        "(authors.publishedIn + eps + heldIn-)",
+    ]
+
+    @staticmethod
+    def _conjunct(name, text, graph, budget):
+        engine = ENGINES[name]
+        return engine.conjunct_relation(
+            parse_regex(text), graph, budget, engine.conjunct_cache(graph)
+        )
+
+    def _aborts(self, name, text, graph, cap):
+        budget = EvaluationBudget(timeout_seconds=60, max_rows=cap).start()
+        try:
+            self._conjunct(name, text, graph, budget)
+        except EngineBudgetExceeded:
+            return True
+        return False
+
+    @pytest.mark.parametrize("text", REGEXES)
+    def test_equal_relations(self, graph, text):
+        postgres = self._conjunct("postgres", text, graph, EvaluationBudget().start())
+        datalog = self._conjunct("datalog", text, graph, EvaluationBudget().start())
+        assert postgres == datalog and len(datalog) > 0
+
+    @pytest.mark.parametrize("text", REGEXES)
+    def test_same_row_caps_abort(self, graph, text):
+        # D's smallest passing cap, found by bisection, and its neighbours
+        # sit on the boundary; the rest sweeps the orders of magnitude.
+        low, high = 0, EvaluationBudget().max_rows
+        assert not self._aborts("datalog", text, graph, high)
+        while low < high:
+            middle = (low + high) // 2
+            if self._aborts("datalog", text, graph, middle):
+                low = middle + 1
+            else:
+                high = middle
+        caps = {0, 1, 10, 100, 1_000, 10_000, 100_000, max(low - 1, 0), low, low + 1}
+        for cap in sorted(caps):
+            assert self._aborts("postgres", text, graph, cap) == self._aborts(
+                "datalog", text, graph, cap
+            ), (text, cap)
 
 
 class TestCypherSemantics:

@@ -142,8 +142,9 @@ class TestSetOperationAllowlist:
     """1-D columns become sets through ``repro.columnar.sorted_unique``
     and row matrices through ``columnar.unique_rows`` / ``rows_in``:
     ``np.unique`` survives only at the ``axis=0`` row-matrix site listed
-    here, and NumPy's set routines (which call ``np.unique`` inside)
-    nowhere."""
+    here — P's star fixpoint, the one place P still keeps ``(n, 2)`` row
+    matrices — and NumPy's set routines (which call ``np.unique``
+    inside) nowhere."""
 
     UNIQUE_SITES = {"sqllike._dedup"}
     FORBIDDEN = {"union1d", "isin", "setdiff1d", "intersect1d"}

@@ -79,6 +79,15 @@ class TestResultSetConstruction:
         )
         assert rs3.arity == 3 and rs3.count() == 2
 
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_from_table_does_not_alias_its_input(self, arity):
+        """An already-sorted table is adopted on the fast path; writes to
+        the caller's table afterwards must not reach the result."""
+        table = np.array([[0], [2], [5]], dtype=np.int64).repeat(arity, axis=1)
+        rs = ResultSet.from_table(table)
+        table[0, :] = 99
+        assert [column.tolist() for column in rs.arrays()] == [[0, 2, 5]] * arity
+
     def test_unit_and_empty(self):
         assert row_set(ResultSet.unit()) == {()}
         assert bool(ResultSet.unit()) and not bool(ResultSet.empty(2))
