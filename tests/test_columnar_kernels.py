@@ -280,24 +280,19 @@ def assert_equals_reference(graph, reference) -> None:
 
 @pytest.fixture
 def forbid_unique(monkeypatch):
-    """Write- and read-path probe: ``with forbid_unique():`` makes a 1-D
-    ``np.unique`` raise; ``with forbid_unique(strict=True):`` makes every
+    """Write- and read-path probe: ``with forbid_unique():`` makes every
     ``np.unique`` call raise, ``axis=`` calls included.
 
     NumPy's own set routines (``union1d``, ``setdiff1d``, ...) call the
     module-level ``unique`` rather than ``np.unique``, so both names are
-    patched.  Outside strict mode ``axis=`` calls (P's row dedup) still
-    delegate.  Scoped, so the oracle and the final comparisons may still
+    patched.  Scoped, so the oracle and the final comparisons may still
     use it.
     """
-    original = np.unique
 
     @contextmanager
-    def scope(strict: bool = False):
+    def scope():
         def guarded(*args, **kwargs):
-            if strict or kwargs.get("axis") is None:
-                raise AssertionError("np.unique reached")
-            return original(*args, **kwargs)
+            raise AssertionError("np.unique reached")
 
         with monkeypatch.context() as patch:
             patch.setattr(np, "unique", guarded)
@@ -348,14 +343,14 @@ def bib_graph_400():
     return generate_graph(GraphConfiguration(400, scenario_schema("bib")), seed=11)
 
 
-def bib_400_workload(graph, shape, recursion_probability=0.5):
+def bib_400_workload(graph, shape):
     return generate_workload(
         WorkloadConfiguration(
             graph.config,
             size=4,
             arities=(1, 2, 3),
             shapes=(shape,),
-            recursion_probability=recursion_probability,
+            recursion_probability=0.5,
         ),
         seed=3,
     )
@@ -378,23 +373,21 @@ class TestReadPathAvoidsNpUnique:
     def test_g_evaluates_a_workload(self, bib_graph_400, shape, forbid_unique):
         workload = bib_400_workload(bib_graph_400, shape)
         queries = [generated.query for generated in workload]
-        with forbid_unique(strict=True):
+        with forbid_unique():
             probed = [evaluate_query(q, bib_graph_400, "cypher") for q in queries]
         assert probed == [evaluate_query(q, bib_graph_400, "cypher") for q in queries]
 
     @pytest.mark.parametrize("shape", list(QueryShape), ids=lambda s: s.value)
-    def test_p_evaluates_a_recursion_free_workload(
-        self, bib_graph_400, shape, forbid_unique
-    ):
-        """P's paths and disjunctions are packed-key relation algebra;
-        only its star fixpoint keeps the row-matrix ``np.unique``."""
-        workload = bib_400_workload(bib_graph_400, shape, recursion_probability=0)
+    def test_p_evaluates_a_workload(self, bib_graph_400, shape, forbid_unique):
+        """P's paths, disjunctions and naive star fixpoint are all
+        packed-key relation algebra."""
+        workload = bib_400_workload(bib_graph_400, shape)
         queries = [generated.query for generated in workload]
-        assert not any(
+        assert any(
             conjunct.regex.starred
             for query in queries for rule in query.rules for conjunct in rule.body
         )
-        with forbid_unique(strict=True):
+        with forbid_unique():
             probed = [evaluate_query(q, bib_graph_400, "postgres") for q in queries]
         assert probed == [evaluate_query(q, bib_graph_400, "datalog") for q in queries]
 
@@ -421,7 +414,7 @@ class TestReadPathAvoidsNpUnique:
     def test_ternary_result_set_algebra(self, forbid_unique):
         mine_rows = np.array([[2, 0, 1], [0, 5, 5], [2, 0, 1], [1, 1, 1]])
         their_rows = np.array([[1, 1, 1], [7, 0, 0], [0, 5, 4]])
-        with forbid_unique(strict=True):
+        with forbid_unique():
             mine = ResultSet.from_table(mine_rows)
             theirs = ResultSet.from_table(their_rows)
             union = mine.union(theirs)

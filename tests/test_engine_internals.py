@@ -1,21 +1,20 @@
 """White-box tests for individual engine strategies.
 
 Cross-engine agreement is covered in test_engines.py; these tests pin
-the *internal* behaviours each engine is modelled on: P's merge joins
-and naive recursion, S's product-BFS relation construction, G's branch
-expansion and reachability helpers.
+the *internal* behaviours each engine is modelled on: P's naive
+recursion over the packed-key relation algebra, S's product-BFS relation
+construction, G's branch expansion and reachability helpers.
 """
 
-import numpy as np
 import pytest
 
-from repro.engine.budget import EvaluationBudget, unlimited
+from repro.engine.budget import unlimited
 from repro.engine.bfs import SparqlLikeEngine
 from repro.engine.isomorphic import CypherLikeEngine, _approximate_labels
 from repro.engine.relations import BinaryRelation
 from repro.engine.resultset import ResultSet
-from repro.engine.sqllike import PostgresLikeEngine, _dedup, _merge_join
-from repro.errors import EngineBudgetExceeded, EngineCapabilityError
+from repro.engine.sqllike import PostgresLikeEngine
+from repro.errors import EngineCapabilityError
 from repro.queries.parser import parse_query, parse_regex
 
 from oracles.reference_isomorphic import _forward_reachable
@@ -23,37 +22,7 @@ from oracles.tuples import graph_from_triples, rows
 from oracles.tuples import pairs as relation_pairs
 
 
-def pairs(*tuples):
-    return np.array(tuples, dtype=np.int64).reshape(-1, 2)
-
-
 class TestSqlPrimitives:
-    def test_merge_join_basic(self):
-        left = pairs((0, 1), (0, 2), (3, 1))
-        right = pairs((1, 7), (2, 8), (2, 9))
-        joined = _merge_join(left, right, unlimited())
-        assert {tuple(row) for row in joined.tolist()} == {
-            (0, 7), (0, 8), (0, 9), (3, 7)
-        }
-
-    def test_merge_join_empty_sides(self):
-        empty = np.zeros((0, 2), dtype=np.int64)
-        assert len(_merge_join(empty, pairs((1, 2)), unlimited())) == 0
-        assert len(_merge_join(pairs((1, 2)), empty, unlimited())) == 0
-
-    def test_merge_join_respects_row_budget(self):
-        left = pairs(*[(0, 1)] * 1)
-        right = pairs(*[(1, i) for i in range(100)])
-        budget = EvaluationBudget(timeout_seconds=60, max_rows=10).start()
-        with pytest.raises(EngineBudgetExceeded):
-            _merge_join(left, right, budget)
-
-    def test_dedup(self):
-        rows = pairs((1, 2), (1, 2), (0, 1))
-        deduped = _dedup(rows)
-        assert len(deduped) == 2
-        assert deduped.tolist() == [[0, 1], [1, 2]]
-
     def test_naive_recursion_matches_reference(self, bib_graph):
         engine = PostgresLikeEngine()
         query = parse_query("(?x, ?y) <- (?x, (publishedIn.publishedIn-)*, ?y)")
@@ -69,20 +38,19 @@ class TestSqlPrimitives:
         """On the k-edge path 0 -> 1 -> ... -> k, ``(a)*`` starts from the
         identity plus the base and takes k join rounds: k - 1 that add
         the next path length, one that finds nothing new.  Every round
-        joins the *whole* accumulated table (naive, not semi-naive): its
-        left side holds the n loops plus every path found so far."""
-        from repro.engine import sqllike
-
+        composes the *whole* accumulated relation (naive, not semi-naive):
+        its left side holds the n loops plus every path found so far."""
         graph = graph_from_triples(
             bib_config, [(i, "extendedTo", i + 1) for i in range(k)]
         )
         left_sizes = []
+        compose = BinaryRelation.compose
 
-        def counting_merge_join(left, right, budget):
+        def counting_compose(left, right, budget=None):
             left_sizes.append(len(left))
-            return _merge_join(left, right, budget)
+            return compose(left, right, budget)
 
-        monkeypatch.setattr(sqllike, "_merge_join", counting_merge_join)
+        monkeypatch.setattr(BinaryRelation, "compose", counting_compose)
         answers = PostgresLikeEngine().evaluate(
             parse_query("(?x, ?y) <- (?x, (extendedTo)*, ?y)"), graph
         )

@@ -138,18 +138,15 @@ class TestPackaging:
         assert not offenders, offenders
 
 
-class TestSetOperationAllowlist:
+class TestSetOperationBan:
     """1-D columns become sets through ``repro.columnar.sorted_unique``
     and row matrices through ``columnar.unique_rows`` / ``rows_in``:
-    ``np.unique`` survives only at the ``axis=0`` row-matrix site listed
-    here — P's star fixpoint, the one place P still keeps ``(n, 2)`` row
-    matrices — and NumPy's set routines (which call ``np.unique``
-    inside) nowhere."""
+    no ``src`` module calls ``np.unique`` (``axis=`` included) or
+    NumPy's set routines, which call ``np.unique`` inside."""
 
-    UNIQUE_SITES = {"sqllike._dedup"}
-    FORBIDDEN = {"union1d", "isin", "setdiff1d", "intersect1d"}
+    FORBIDDEN = {"unique", "union1d", "isin", "setdiff1d", "intersect1d"}
 
-    def test_np_unique_only_at_allowlisted_row_sites(self):
+    def test_no_numpy_set_routine_in_src(self):
         import ast
         import pathlib
 
@@ -169,18 +166,15 @@ class TestSetOperationAllowlist:
                     yield where, child
                 yield from calls(child, where)
 
-        unique_sites, forbidden = [], []
-        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            for where, call in calls(tree, path.stem):
-                if call.func.attr == "unique":
-                    has_axis = any(kw.arg == "axis" for kw in call.keywords)
-                    unique_sites.append((where, has_axis))
-                elif call.func.attr in self.FORBIDDEN:
-                    forbidden.append((where, call.func.attr))
+        forbidden = [
+            (where, call.func.attr)
+            for path in pathlib.Path(repro.__file__).parent.rglob("*.py")
+            for where, call in calls(
+                ast.parse(path.read_text(encoding="utf-8")), path.stem
+            )
+            if call.func.attr in self.FORBIDDEN
+        ]
         assert not forbidden, forbidden
-        assert all(has_axis for _, has_axis in unique_sites), unique_sites
-        assert {where for where, _ in unique_sites} <= self.UNIQUE_SITES
 
 
 class TestColumnsInColumnsOut:

@@ -38,6 +38,10 @@ class TestBinaryRelation:
         left = relation_of([(1, 2), (1, 3)])
         right = relation_of([(2, 4), (3, 4), (3, 5)])
         assert pairs(left.compose(right)) == {(1, 4), (1, 5)}
+        empty = BinaryRelation()
+        assert len(empty.compose(right)) == 0
+        assert len(left.compose(empty)) == 0
+        assert len(right.compose(left)) == 0  # no target meets a source
 
     def test_identity(self):
         assert pairs(BinaryRelation.identity([1, 2])) == {(1, 1), (2, 2)}
