@@ -59,6 +59,27 @@ class TestSqlPrimitives:
         assert left_sizes == paths_up_to
         assert len(answers) == graph.n + k * (k + 1) // 2
 
+    def test_naive_recursion_on_an_empty_base(self, bib_config, monkeypatch):
+        """With no ``extendedTo`` edge the base is empty: ``(extendedTo)*``
+        is the n loops alone, found after one round that composes them
+        with the empty base and adds nothing."""
+        graph = graph_from_triples(bib_config, [(0, "publishedIn", 1)])
+        left_sizes = []
+        compose = BinaryRelation.compose
+
+        def counting_compose(left, right, budget=None):
+            left_sizes.append(len(left))
+            return compose(left, right, budget)
+
+        monkeypatch.setattr(BinaryRelation, "compose", counting_compose)
+        answers = PostgresLikeEngine().evaluate(
+            parse_query("(?x, ?y) <- (?x, (extendedTo)*, ?y)"), graph
+        )
+        assert left_sizes == [graph.n]
+        assert answers == ResultSet.from_relation(
+            BinaryRelation.identity(range(graph.n))
+        )
+
 
 class TestBfsRelationConstruction:
     def test_regex_relation_matches_algebraic(self, bib_graph):
