@@ -13,7 +13,6 @@ from __future__ import annotations
 from repro.engine.base import (
     Engine,
     SymbolRelationCache,
-    arm,
     regex_to_relation,
     register_engine,
 )
@@ -45,7 +44,9 @@ class DatalogLikeEngine(Engine):
         set *is* the conjunct's relation — a bottom-up engine computes
         ``#count`` without shipping the (possibly quadratic) tuples to
         the client.  This is what keeps D answering the recursive
-        quadratic query of Table 4 at every size.
+        quadratic query of Table 4 at every size.  It runs behind the
+        same engine boundary as :meth:`evaluate`, so a partial-result
+        budget gets the partial count rather than an exception.
         """
         rule = query.rules[0]
         if (
@@ -54,8 +55,14 @@ class DatalogLikeEngine(Engine):
             and rule.head == (rule.body[0].source, rule.body[0].target)
             and rule.body[0].source != rule.body[0].target
         ):
-            relation = self.conjunct_relation(
-                rule.body[0].regex, graph, arm(budget), self.conjunct_cache(graph)
+            counted = self._bounded(
+                query,
+                budget,
+                lambda armed: len(
+                    self.conjunct_relation(
+                        rule.body[0].regex, graph, armed, self.conjunct_cache(graph)
+                    )
+                ),
             )
-            return len(relation)
+            return counted if isinstance(counted, int) else counted.count_distinct()
         return super().count_distinct(query, graph, budget)

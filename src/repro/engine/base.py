@@ -30,17 +30,6 @@ def register_engine(engine_cls):
     return engine_cls
 
 
-def arm(budget: EvaluationBudget | None) -> EvaluationBudget:
-    """The single arming point of an ``evaluate``/``count_distinct`` call.
-
-    Starts the clock of the caller's budget (the default limits when
-    none was given); an
-    :class:`~repro.execution.context.ExecutionContext` resets its
-    partial stash and event list here.
-    """
-    return (budget or EvaluationBudget()).start()
-
-
 class Engine:
     """Base class: evaluate UCRPQs on a :class:`LabeledGraph`.
 
@@ -93,10 +82,24 @@ class Engine:
             from repro.engine.profiling import profiled_evaluate
 
             return profiled_evaluate(self, query, graph, budget)
-        budget = arm(budget)
+        return self._bounded(
+            query, budget, lambda armed: self._evaluate(query, graph, armed)
+        )
+
+    def _bounded(self, query: Query, budget: EvaluationBudget | None, compute):
+        """The engine boundary: the single arming point of a call.
+
+        Starts the clock of the caller's budget (the default limits when
+        none was given; an ``ExecutionContext`` resets its partial stash
+        and event list here), opens the ``engine.evaluate`` span and
+        returns ``compute(armed_budget)`` — or, on a budget abort /
+        cancellation the budget wants as a partial result, the
+        incomplete :class:`ResultSet` instead.
+        """
+        budget = (budget or EvaluationBudget()).start()
         with TRACER.span("engine.evaluate", engine=self.name):
             try:
-                return self._evaluate(query, graph, budget)
+                return compute(budget)
             except (EngineBudgetExceeded, ExecutionCancelled) as exc:
                 partial = budget.partial_result(exc, query.arity)
                 if partial is None:

@@ -420,6 +420,29 @@ class TestPartialResults:
         assert flagged.abort_report is report
         assert flagged == direct  # same answers, only the flag differs
 
+    @pytest.mark.parametrize("engine", ["P", "S", "D"])
+    def test_partial_count_of_a_single_path_query(self, engine):
+        """``count_distinct`` of a one-conjunct path query (D's aggregate
+        fast path) sits behind the same engine boundary as ``evaluate``:
+        a partial-result context gets the partial count, an abort report
+        and the ``engine.evaluate`` span — on every engine alike."""
+        from repro.engine import count_distinct
+        from repro.observability.trace import TRACER
+
+        small = Session.from_scenario("bib", 600, seed=17)
+        query = small.query("(?x, ?y) <- (?x, authors.authors-, ?y)")
+        graph = small.graph()
+        ctx = ExecutionContext(max_rows=200, on_budget="partial")
+        with TRACER.recording() as capture:
+            assert count_distinct(query, graph, engine, ctx) == 0
+        assert ctx.abort_report.resource == "rows"
+        assert [root.name for root in capture.roots] == ["engine.evaluate"]
+        assert small.count_distinct(query, engine, on_budget="partial") > 0
+        assert small.count_distinct(
+            query, engine, budget=EvaluationBudget(max_rows=200),
+            on_budget="partial",
+        ) == 0
+
     def test_cancellation_yields_partial(self, session):
         token = CancellationToken()
         ctx = ExecutionContext(token=token, on_budget="partial")
