@@ -188,13 +188,29 @@ def expand_indptr(
     arrays are materialised (budget hook, as in :func:`expand_join`).
     """
     lo = indptr[nodes]
-    counts = indptr[nodes + 1] - lo
+    return expand_ranges(lo, indptr[nodes + 1] - lo, payload, check_rows)
+
+
+def expand_ranges(
+    lo: np.ndarray,
+    counts: np.ndarray,
+    payload: np.ndarray,
+    check_rows=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batch gather of the payload ranges ``[lo[i], lo[i] + counts[i])``.
+
+    The kernel under :func:`expand_indptr`, for callers that hold the
+    range starts and lengths already: returns ``(probe_index, values)``
+    where ``values`` concatenates the ranges in order and
+    ``probe_index[j]`` is the range ``values[j]`` came from.
+    ``check_rows`` sees the gathered size before anything is built.
+    """
     total = int(counts.sum())
     if check_rows is not None:
         check_rows(total)
     if total == 0:
         return EMPTY_I64, EMPTY_I64
-    probe_index = np.repeat(np.arange(nodes.size), counts)
+    probe_index = np.repeat(np.arange(counts.size), counts)
     offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
     return probe_index, payload[np.repeat(lo, counts) + offsets]
 

@@ -3,8 +3,10 @@
 A reflexive-transitive closure ``R*`` can be represented without
 materialising its (potentially quadratic) pair set: condense the graph
 into strongly connected components (scipy's ``connected_components``),
-compute component-level reachability over the condensation DAG, and
-answer pair queries through the component maps.  Because gMark regular
+compute component-level reachability bottom-up over the condensation
+DAG — ``Reach = I ∪ E ∘ Reach``, one vectorised step per DAG level, the
+semi-naive fixpoint of a Datalog engine — and answer pair queries
+through the component maps.  Because gMark regular
 expressions only allow Kleene star at the *outermost* level, a closure
 is never composed further — it flows straight into the conjunct join,
 which it faces through two array methods: :meth:`contains_many` (a
@@ -25,12 +27,16 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from repro.columnar import (
+    EMPTY_I64,
     expand_indptr,
     expand_join,
+    expand_ranges,
     indptr_for,
     keys_contain_many,
     pack_pairs,
     sorted_unique,
+    sorted_unique_keys,
+    unpack_keys,
 )
 from repro.engine.budget import EvaluationBudget, unlimited
 from repro.engine.relations import BinaryRelation
@@ -71,24 +77,18 @@ class ClosureRelation:
 
         # Condensation DAG edges: map endpoints to components and
         # deduplicate cross-component pairs in one vectorized pass.
-        dag_successors: dict[int, list[int]] = {}
-        if sources.size:
-            source_components = self._labels[sources]
-            target_components = self._labels[targets]
-            cross = source_components != target_components
-            dag = BinaryRelation.from_arrays(
-                source_components[cross], target_components[cross]
-            )
-            for cs, ct in zip(
-                dag.source_array.tolist(), dag.target_array.tolist()
-            ):
-                dag_successors.setdefault(cs, []).append(ct)
+        source_components = self._labels[sources]
+        target_components = self._labels[targets]
+        cross = source_components != target_components
+        dag = BinaryRelation.from_arrays(
+            source_components[cross], target_components[cross]
+        )
         budget.check_time()
 
         #: Component-level reachability (includes self) as a packed-key
         #: relation over component ids — the only reach representation:
         #: membership is one binary search, the inverse one re-sort.
-        self._reach = _component_reach(dag_successors, component_count, budget)
+        self._reach = _component_reach(dag, component_count, budget)
         self._size: int | None = None
         self._inverse: ClosureRelation | None = None
 
@@ -168,49 +168,69 @@ class ClosureRelation:
 
 
 def _component_reach(
-    dag_successors: dict[int, list[int]],
-    component_count: int,
-    budget: EvaluationBudget,
+    dag: BinaryRelation, component_count: int, budget: EvaluationBudget
 ) -> BinaryRelation:
-    """Reflexive reachability over the condensation DAG.
+    """Reflexive reachability over the condensation DAG, level by level.
 
-    Post-order DFS with memoised descendant sets held as sorted id
-    columns, so each component's reach is one :func:`sorted_unique` over
-    its successors' — the same sorted-set algebra as the frontier kernels.
+    ``Reach = I ∪ E ∘ Reach`` bottom-up, in reverse topological order:
+    the DAG is peeled from its sinks, and a component joins a level once
+    every successor is finished.  A level is one batch step on the
+    columnar kernels — gather the successors' finished reach rows
+    (:func:`expand_indptr` over the forward CSR, then
+    :func:`expand_ranges` over the reach buffer), add ``(c, c)``,
+    deduplicate the packed keys, append the rows to one growing buffer —
+    so a level costs its edges plus the rows it gathers, never the
+    component count.  The backward CSR counts down each parent's
+    unfinished successors.  ``check_time`` is polled once per level.
     """
-    reach: dict[int, np.ndarray] = {}
-    state = np.zeros(component_count, dtype=np.int8)  # 0 new, 1 open, 2 done
-    for root in range(component_count):
-        if state[root] == 2:
-            continue
-        stack = [root]
-        while stack:
-            component = stack[-1]
-            if state[component] == 0:
-                state[component] = 1
-                for successor in dag_successors.get(component, ()):
-                    if state[successor] == 0:
-                        stack.append(successor)
-            else:
-                stack.pop()
-                if state[component] == 2:
-                    continue
-                state[component] = 2
-                successors = dag_successors.get(component, ())
-                own = np.array([component], dtype=np.int64)
-                if successors:
-                    reach[component] = sorted_unique(
-                        np.concatenate([own] + [reach[s] for s in successors])
-                    )
-                else:
-                    reach[component] = own
-                budget.check_time()
-    if not reach:
-        return BinaryRelation()
-    columns = [reach[c] for c in range(component_count)]
-    components = np.repeat(
-        np.arange(component_count), [column.size for column in columns]
+    forward = indptr_for(dag.source_array, component_count)
+    sorted_targets, predecessors = dag.backward_arrays()
+    backward = indptr_for(sorted_targets, component_count)
+    pending = np.diff(forward)  # unfinished successors per component
+    start = np.zeros(component_count, dtype=np.int64)
+    count = np.zeros(component_count, dtype=np.int64)
+    reach = np.empty(component_count, dtype=np.int64)  # every c reaches c
+    used = 0
+    level = np.flatnonzero(pending == 0)
+    while level.size:
+        budget.check_time()
+        owner, successors = expand_indptr(level, forward, dag.target_array)
+        row, reached = expand_ranges(start[successors], count[successors], reach)
+        keys = sorted_unique_keys(
+            np.concatenate((level, level[owner[row]])),
+            np.concatenate((level, reached)),
+        )
+        owners, targets = unpack_keys(keys)
+        firsts, lengths = _runs(owners)
+        start[owners[firsts]] = used + firsts
+        count[owners[firsts]] = lengths
+        if used + keys.size > reach.size:
+            grown = np.empty(max(2 * reach.size, used + keys.size), dtype=np.int64)
+            grown[:used] = reach[:used]
+            reach = grown
+        reach[used:used + keys.size] = targets
+        used += keys.size
+        _, parents = expand_indptr(level, backward, predecessors)
+        level = _finished(parents, pending)
+    components, targets = expand_ranges(start, count, reach)
+    return BinaryRelation.from_keys(pack_pairs(components, targets))
+
+
+def _runs(sorted_column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of each run of a non-empty sorted column."""
+    firsts = np.flatnonzero(
+        np.concatenate(([True], sorted_column[1:] != sorted_column[:-1]))
     )
-    return BinaryRelation.from_keys(
-        pack_pairs(components, np.concatenate(columns))
-    )
+    return firsts, np.diff(np.append(firsts, sorted_column.size))
+
+
+def _finished(parents: np.ndarray, pending: np.ndarray) -> np.ndarray:
+    """Count one finished successor off each entry of ``parents``; return
+    the sorted distinct parents left with none unfinished."""
+    if parents.size == 0:
+        return EMPTY_I64
+    parents = np.sort(parents)
+    firsts, lengths = _runs(parents)
+    distinct = parents[firsts]
+    pending[distinct] -= lengths
+    return distinct[pending[distinct] == 0]

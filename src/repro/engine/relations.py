@@ -5,12 +5,12 @@ stored **columnar**: one :class:`~repro.columnar.PairStore` (a sorted,
 deduplicated ``int64`` key column), exactly the physical layout of the
 graph's per-label CSR stores — :meth:`BinaryRelation.from_graph_symbol`
 adopts a label's key column zero-copy.  The UCRPQ operations — union,
-composition, inverse, reflexive-transitive closure via *semi-naive*
-delta iteration — are vectorized sorted-set algebra (``merge_keys``
-unions, sort-merge ``np.searchsorted`` joins), with budget hooks so
-runaway closures surface as
+composition, inverse — are vectorized sorted-set algebra
+(``merge_keys`` unions, sort-merge ``np.searchsorted`` joins), with
+budget hooks so runaway joins surface as
 :class:`~repro.errors.EngineBudgetExceeded`; join sizes are charged
-against the budget *before* the output arrays are materialised.
+against the budget *before* the output arrays are materialised.  Stars
+are the closure's business (:mod:`repro.engine.closure`).
 
 Relations are built from columns (:meth:`BinaryRelation.from_arrays`,
 :meth:`~BinaryRelation.from_keys`) and read as columns
@@ -26,18 +26,15 @@ from typing import Iterable
 import numpy as np
 
 from repro.columnar import (
-    EMPTY_I64,
     PairStore,
     as_id_array,
     dedup_sorted,
     expand_join,
     frozen,
-    keys_difference,
     merge_keys,
     pack_pairs,
     sorted_unique,
     sorted_unique_keys,
-    unpack_keys,
 )
 from repro.engine.budget import EvaluationBudget, unlimited
 from repro.generation.graph import LabeledGraph
@@ -187,51 +184,6 @@ class BinaryRelation:
         return BinaryRelation.from_arrays(
             self.source_array[probe_index], other.target_array[build_index]
         )
-
-    def transitive_closure(
-        self,
-        nodes: Iterable[int] | None = None,
-        budget: EvaluationBudget | None = None,
-    ) -> "BinaryRelation":
-        """Reflexive-transitive closure via semi-naive delta iteration.
-
-        ``nodes`` supplies the identity base (Kleene star matches ε on
-        *every* node); when omitted only nodes touched by the relation
-        are included — callers evaluating full UCRPQ semantics pass the
-        graph's node range.  Each round joins only the previous round's
-        *delta* against the base relation (vectorized sort-merge), so
-        work is proportional to newly discovered pairs.
-        """
-        budget = budget or unlimited()
-        base_keys = self.key_array
-        base_sources = self.source_array
-        base_targets = self.target_array
-        if nodes is None:
-            touched = sorted_unique(np.concatenate((base_sources, base_targets)))
-            identity = (
-                pack_pairs(touched, touched) if touched.size else EMPTY_I64
-            )
-        else:
-            identity = BinaryRelation.identity(nodes).key_array
-
-        closure_keys = merge_keys(identity, base_keys)
-        delta_keys = keys_difference(base_keys, identity)
-        while delta_keys.size:
-            budget.check_time()
-            budget.check_rows(closure_keys.size)
-            budget.check_bytes(closure_keys.nbytes)
-            delta_sources, delta_middles = unpack_keys(delta_keys)
-            _, probe_index, build_index = expand_join(
-                delta_middles, base_sources, budget.check_rows
-            )
-            if probe_index.size == 0:
-                break
-            candidates = sorted_unique_keys(
-                delta_sources[probe_index], base_targets[build_index]
-            )
-            delta_keys = keys_difference(candidates, closure_keys)
-            closure_keys = merge_keys(closure_keys, delta_keys)
-        return BinaryRelation.from_keys(closure_keys)
 
     def __repr__(self) -> str:
         return f"BinaryRelation({len(self)} pairs)"

@@ -1,26 +1,53 @@
-"""Tests for the SCC-condensed closure relation (Datalog recursion)."""
+"""Tests for the SCC-condensed closure relation (Datalog recursion).
 
+The condensed closure is checked against the semi-naive oracle
+(``tests/oracles/reference_closure.py``), which is itself checked
+against networkx here.
+"""
+
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.budget import unlimited
+from repro.engine.budget import EvaluationBudget, unlimited
 from repro.engine.closure import ClosureRelation
 from repro.engine.relations import BinaryRelation
 from repro.engine.resultset import ResultSet
+from repro.errors import EngineBudgetExceeded, ExecutionCancelled
+from repro.execution import CancellationToken, ResourceBudget
 
+from oracles.reference_closure import transitive_closure
 from oracles.tuples import pairs, rows
 
 
-def closure_pair(edges, n):
+def relation_of(edges) -> BinaryRelation:
+    """The relation of an iterable of (source, target) tuples."""
+    columns = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    return BinaryRelation.from_arrays(columns[:, 0], columns[:, 1])
+
+
+def closure_pair(edges, n, budget=None):
     """(SCC-condensed, semi-naive reference) closures of the same base."""
-    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    base = BinaryRelation.from_arrays(edges[:, 0], edges[:, 1])
+    base = relation_of(edges)
     return (
-        ClosureRelation(base, n),
-        base.transitive_closure(nodes=range(n)),
+        ClosureRelation(base, n, budget),
+        transitive_closure(base, nodes=range(n)),
     )
+
+
+def assert_matches_reference(edges, n) -> None:
+    """The condensed closure, its length, one restriction and its
+    inverse equal the semi-naive oracle's."""
+    closed, reference = closure_pair(edges, n)
+    assert closed.restrict(None, unlimited()) == reference
+    assert len(closed) == len(reference)
+    node = n // 2
+    assert closed.restrict(np.array([node]), unlimited()) == (
+        BinaryRelation.from_keys(reference.key_array[reference.source_array == node])
+    )
+    assert closed.inverse().restrict(None, unlimited()) == reference.inverse()
 
 
 class TestClosureRelation:
@@ -93,7 +120,7 @@ class TestClosureRelation:
         base = BinaryRelation.from_graph_symbol(bib_graph, "publishedIn").compose(
             BinaryRelation.from_graph_symbol(bib_graph, "publishedIn-")
         )
-        reference = base.transitive_closure(nodes=range(bib_graph.n))
+        reference = transitive_closure(base, nodes=range(bib_graph.n))
         assert via_engine == ResultSet.from_relation(reference)
 
 
@@ -101,9 +128,6 @@ class TestClosureInTheJoin:
     def test_inverse_honours_the_callers_budget(self):
         """A target-bound starred conjunct expands the *inverse* closure:
         building it must poll the caller's token, not ``unlimited()``."""
-        from repro.errors import ExecutionCancelled
-        from repro.execution import CancellationToken, ResourceBudget
-
         token = CancellationToken()
         token.cancel("client went away")
         closed, _ = closure_pair([(0, 1), (1, 2)], 4)
@@ -113,8 +137,6 @@ class TestClosureInTheJoin:
     @pytest.mark.parametrize("engine", ["postgres", "sparql", "datalog"])
     def test_cancelled_token_stops_target_bound_star(self, bib_graph, engine):
         from repro.engine import evaluate_query
-        from repro.errors import ExecutionCancelled
-        from repro.execution import CancellationToken, ResourceBudget
         from repro.queries.parser import parse_query
 
         token = CancellationToken()
@@ -132,7 +154,6 @@ class TestClosureInTheJoin:
         under ``max_rows = 4·n`` — a node-level materialisation of the
         filter would need n²."""
         from repro.engine import evaluate_query
-        from repro.engine.budget import EvaluationBudget
         from repro.generation.graph import LabeledGraph
         from repro.queries.parser import parse_query
 
@@ -147,3 +168,152 @@ class TestClosureInTheJoin:
             query, graph, "datalog", EvaluationBudget(max_rows=4 * n)
         )
         assert rows(answers) == {(v, (v + 2) % n) for v in range(n)}
+
+
+# -- the level loop ----------------------------------------------------------
+
+
+def layered_lattice(layers: int, width: int) -> list[tuple[int, int]]:
+    """``layers`` layers of ``width`` nodes: each half-layer is a cycle
+    (two SCCs per layer), and node i of a layer points at nodes i and
+    i + 1 of the next."""
+    edges = []
+    half = width // 2
+    for layer in range(layers):
+        base = layer * width
+        for i in range(width):
+            group = (i // half) * half
+            edges.append((base + i, base + group + (i - group + 1) % half))
+            if layer + 1 < layers:
+                edges.append((base + i, base + width + i))
+                edges.append((base + i, base + width + (i + 1) % width))
+    return edges
+
+
+@st.composite
+def dags_with_cycles(draw, max_nodes: int):
+    """A random DAG over a shuffled node order, plus back edges that
+    close cycles across it (so components of every size appear)."""
+    n = draw(st.integers(1, max_nodes))
+    order = draw(st.permutations(range(n)))
+    node = st.integers(0, n - 1)
+    forward = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    back = draw(st.lists(st.tuples(node, node), max_size=n // 8 + 1))
+    edges = [(order[min(a, b)], order[max(a, b)]) for a, b in forward if a != b]
+    edges += [(order[max(a, b)], order[min(a, b)]) for a, b in back]
+    return n, edges
+
+
+class CountingBudget(ResourceBudget):
+    """A budget that counts its ``check_time`` polls."""
+
+    polls = 0
+
+    def check_time(self) -> None:
+        self.polls += 1
+        super().check_time()
+
+
+class CancelsAfter(CancellationToken):
+    """A token that reads as cancelled from its ``(polls + 1)``-th poll on."""
+
+    def __init__(self, polls: int):
+        super().__init__()
+        self.left = polls
+
+    @property
+    def cancelled(self) -> bool:
+        self.left -= 1
+        if self.left < 0:
+            self.reason = "flipped mid-loop"
+        return self.left < 0
+
+
+class TestLevelLoop:
+    """Component reach is built one condensation-DAG level at a time."""
+
+    def test_deep_path(self):
+        n = 500
+        assert_matches_reference([(i, i + 1) for i in range(n - 1)], n)
+
+    @pytest.mark.parametrize("direction", ["out", "in"])
+    def test_wide_star(self, direction):
+        leaves = 2_000
+        edges = [(0, leaf) for leaf in range(1, leaves + 1)]
+        if direction == "in":
+            edges = [(leaf, root) for root, leaf in edges]
+        assert_matches_reference(edges, leaves + 1)
+
+    def test_layered_lattice_with_cycles_inside_layers(self):
+        assert_matches_reference(layered_lattice(layers=12, width=16), 12 * 16)
+
+    @given(graph=dags_with_cycles(max_nodes=40))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference_on_dags_with_cycles(self, graph):
+        assert_matches_reference(graph[1], graph[0])
+
+    @pytest.mark.nightly
+    @given(graph=dags_with_cycles(max_nodes=300))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_dags_with_cycles_sweep(self, graph):
+        assert_matches_reference(graph[1], graph[0])
+
+    def test_time_is_polled_per_level_not_per_component(self):
+        """Two DAG levels of 1 000 components each: a handful of polls
+        (one per level plus the two set-up checks), not one per
+        component."""
+        budget = CountingBudget()
+        sources = np.arange(1_000)
+        ClosureRelation(
+            BinaryRelation.from_arrays(sources, sources + 1_000), 2_000, budget
+        )
+        assert budget.polls <= 6
+
+    def test_cancellation_stops_the_loop(self):
+        """A token that fires after the third poll — the two set-up
+        checks and the first level — stops a 200-level build."""
+        token = CancelsAfter(polls=3)
+        with pytest.raises(ExecutionCancelled):
+            ClosureRelation(
+                relation_of((i, i + 1) for i in range(199)),
+                200,
+                ResourceBudget(token=token),
+            )
+        assert token.left == -1
+
+
+class TestSemiNaiveOracle:
+    """The reference closure itself, against networkx."""
+
+    def test_closure_matches_networkx(self):
+        edges = [(0, 1), (1, 2), (2, 0), (2, 3), (4, 4)]
+        closure = transitive_closure(relation_of(edges), nodes=range(6))
+        digraph = nx.DiGraph(edges)
+        digraph.add_nodes_from(range(6))
+        expected = set(nx.transitive_closure(digraph, reflexive=True).edges())
+        assert pairs(closure) == expected
+
+    def test_closure_includes_identity_on_given_nodes(self):
+        closure = transitive_closure(relation_of([(0, 1)]), nodes=range(3))
+        assert (2, 2) in pairs(closure)
+
+    def test_closure_budget_rows(self):
+        # A 40-clique closure has 1600 pairs; cap at 100 must trip.
+        relation = relation_of((i, (i + 1) % 40) for i in range(40))
+        budget = EvaluationBudget(timeout_seconds=60, max_rows=100).start()
+        with pytest.raises(EngineBudgetExceeded):
+            transitive_closure(relation, nodes=range(40), budget=budget)
+
+    @pytest.mark.nightly
+    @given(
+        edges=st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=80
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_transitive_closure(self, edges):
+        closure = transitive_closure(relation_of(edges), nodes=range(41))
+        digraph = nx.DiGraph(edges)
+        digraph.add_nodes_from(range(41))
+        expected = set(nx.transitive_closure(digraph, reflexive=True).edges())
+        assert pairs(closure) == expected

@@ -24,6 +24,8 @@ from numpy.lib import _arraysetops_impl
 from repro.columnar import (
     MAX_ID,
     PairStore,
+    expand_indptr,
+    expand_ranges,
     merge_keys,
     pack_pairs,
     rows_in,
@@ -39,6 +41,7 @@ from repro.engine.resultset import ResultSet
 from repro.generation.generator import generate_edge_stream, generate_graph
 from repro.generation.graph import LabeledGraph
 from oracles.reference import ReferenceLabeledGraph
+from oracles.reference_closure import transitive_closure
 from oracles.tuples import pairs, rows
 from repro.generation.writers import read_edge_list, write_edge_list
 from repro.queries.generator import generate_workload
@@ -180,6 +183,35 @@ class TestKernelContract:
         assert np.array_equal(held, snapshot)
         assert len(store) == 4
         store.self_check()
+
+
+class TestGatherKernels:
+    """``expand_ranges`` and the CSR gather built on it."""
+
+    @given(
+        ranges=st.lists(st.tuples(st.integers(0, 20), st.integers(0, 5)), max_size=12)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_expand_ranges_concatenates_the_ranges(self, ranges):
+        payload = np.arange(100, 126, dtype=np.int64)
+        lo = np.array([start for start, _ in ranges], dtype=np.int64)
+        counts = np.array([length for _, length in ranges], dtype=np.int64)
+        seen = []
+        probe_index, values = expand_ranges(lo, counts, payload, seen.append)
+        assert seen == [int(counts.sum())]
+        assert values.tolist() == [
+            v for start, length in ranges for v in payload[start:start + length]
+        ]
+        assert probe_index.tolist() == [
+            i for i, (_, length) in enumerate(ranges) for _ in range(length)
+        ]
+
+    def test_expand_indptr_gathers_csr_rows(self):
+        indptr = np.array([0, 2, 2, 5], dtype=np.int64)
+        payload = np.array([7, 8, 1, 2, 3], dtype=np.int64)
+        probe_index, values = expand_indptr(np.array([2, 1, 0]), indptr, payload)
+        assert probe_index.tolist() == [0, 0, 0, 2, 2]
+        assert values.tolist() == [1, 2, 3, 7, 8]
 
 
 def row_tables(width=st.integers(1, 4)):
@@ -394,7 +426,7 @@ class TestReadPathAvoidsNpUnique:
     def test_relation_closure_and_restriction(self, forbid_unique):
         relation = BinaryRelation.from_arrays([0, 1, 2, 5], [1, 2, 0, 5])
         with forbid_unique():
-            closure = relation.transitive_closure()
+            closure = transitive_closure(relation)
             restricted = ClosureRelation(relation, 6).restrict(
                 np.array([9, 5, 2, 5]), unlimited()
             )

@@ -260,17 +260,6 @@ class TestRelationAlgebraParity:
         }
         assert pair_set(result) == expected
 
-    @given(pairs=PAIRS)
-    @settings(max_examples=25, deadline=None)
-    def test_transitive_closure(self, pairs):
-        import networkx as nx
-
-        closure = relation_of(pairs).transitive_closure(nodes=range(41))
-        digraph = nx.DiGraph(pairs)
-        digraph.add_nodes_from(range(41))
-        expected = set(nx.transitive_closure(digraph, reflexive=True).edges())
-        assert pair_set(closure) == expected
-
     @given(pairs=PAIRS, batches=st.lists(PAIRS, max_size=6))
     @settings(max_examples=40, deadline=None)
     def test_interleaved_batches_and_reads(self, pairs, batches):

@@ -17,6 +17,7 @@ from repro.engine.sqllike import PostgresLikeEngine
 from repro.errors import EngineCapabilityError
 from repro.queries.parser import parse_query, parse_regex
 
+from oracles.reference_closure import transitive_closure
 from oracles.reference_isomorphic import _forward_reachable
 from oracles.tuples import graph_from_triples, rows
 from oracles.tuples import pairs as relation_pairs
@@ -30,7 +31,7 @@ class TestSqlPrimitives:
         base = BinaryRelation.from_graph_symbol(bib_graph, "publishedIn").compose(
             BinaryRelation.from_graph_symbol(bib_graph, "publishedIn-")
         )
-        reference = base.transitive_closure(nodes=range(bib_graph.n))
+        reference = transitive_closure(base, nodes=range(bib_graph.n))
         assert answers == ResultSet.from_relation(reference)
 
     @pytest.mark.parametrize("k", [1, 2, 5, 9])

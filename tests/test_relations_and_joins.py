@@ -1,6 +1,5 @@
-"""Tests for binary relations, closures (vs networkx), and rule joins."""
+"""Tests for binary relations and rule joins."""
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -45,26 +44,6 @@ class TestBinaryRelation:
 
     def test_identity(self):
         assert pairs(BinaryRelation.identity([1, 2])) == {(1, 1), (2, 2)}
-
-    def test_closure_matches_networkx(self):
-        edges = [(0, 1), (1, 2), (2, 0), (2, 3), (4, 4)]
-        relation = relation_of(edges)
-        closure = relation.transitive_closure(nodes=range(6))
-        digraph = nx.DiGraph(edges)
-        digraph.add_nodes_from(range(6))
-        expected = set(nx.transitive_closure(digraph, reflexive=True).edges())
-        assert pairs(closure) == expected
-
-    def test_closure_includes_identity_on_given_nodes(self):
-        closure = relation_of([(0, 1)]).transitive_closure(nodes=range(3))
-        assert (2, 2) in pairs(closure)
-
-    def test_closure_budget_rows(self):
-        # A 40-clique closure has 1600 pairs; cap at 100 must trip.
-        relation = relation_of((i, (i + 1) % 40) for i in range(40))
-        budget = EvaluationBudget(timeout_seconds=60, max_rows=100).start()
-        with pytest.raises(EngineBudgetExceeded):
-            relation.transitive_closure(nodes=range(40), budget=budget)
 
     def test_compose_budget_rows(self):
         left = relation_of((0, i) for i in range(100))
