@@ -204,12 +204,11 @@ def _component_reach(
         firsts, lengths = _runs(owners)
         start[owners[firsts]] = used + firsts
         count[owners[firsts]] = lengths
-        if used + keys.size > reach.size:
-            grown = np.empty(max(2 * reach.size, used + keys.size), dtype=np.int64)
-            grown[:used] = reach[:used]
-            reach = grown
-        reach[used:used + keys.size] = targets
-        used += keys.size
+        end = used + keys.size
+        if end > reach.size:  # amortised doubling; only [:used] is read
+            reach = np.resize(reach, max(2 * reach.size, end))
+        reach[used:end] = targets
+        used = end
         _, parents = expand_indptr(level, backward, predecessors)
         level = _finished(parents, pending)
     components, targets = expand_ranges(start, count, reach)

@@ -21,7 +21,14 @@ import pathlib
 
 import pytest
 
-from repro import GraphConfiguration, count_distinct, generate_graph
+from repro import (
+    GraphConfiguration,
+    QueryShape,
+    WorkloadConfiguration,
+    count_distinct,
+    generate_graph,
+    generate_workload,
+)
 from repro.errors import EngineBudgetExceeded, EngineCapabilityError
 from repro.execution import ResourceBudget
 from repro.queries.parser import parse_query
@@ -70,8 +77,6 @@ def _answers(texts: list[str], graph, max_rows: int) -> list[dict]:
 
 def regenerate() -> dict:
     """Generate the mix, evaluate it on every engine, return the fixture."""
-    from repro import QueryShape, WorkloadConfiguration, generate_workload
-
     fixture = {
         "scenario": SCENARIO,
         "nodes": NODES,
