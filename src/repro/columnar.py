@@ -289,8 +289,12 @@ def unique_rows(table: np.ndarray) -> np.ndarray:
     with ``axis=0`` gives, at ~3x its speed (20 k ``(n, 2)`` rows:
     3.9 vs 12.4 ms, NumPy 2.4.6 on a 2-core Xeon).  The input is never
     mutated; the result is a fresh C-contiguous ``int64`` matrix.
+    Zero-width rows are all equal, so a ``(n, 0)`` table (a Boolean
+    head) keeps at most one.
     """
     table = np.asarray(table, dtype=np.int64)
+    if table.shape[1] == 0:
+        return np.zeros((min(table.shape[0], 1), 0), dtype=np.int64)
     if table.shape[0] < 2:
         return np.array(table, order="C")
     rows = table[_row_order(table)]

@@ -29,7 +29,7 @@ from repro.engine.joins import join_rule, greedy_join_order
 from repro.engine.algebraic import DatalogLikeEngine
 from repro.engine.sqllike import PostgresLikeEngine
 from repro.engine.bfs import SparqlLikeEngine
-from repro.engine.frontier import frontier_reachable, frontier_regex_relation
+from repro.engine.frontier import frontier_regex_relation
 from repro.engine.isomorphic import CypherLikeEngine
 from repro.engine.evaluator import (
     ENGINES,
@@ -53,7 +53,6 @@ __all__ = [
     "PostgresLikeEngine",
     "SparqlLikeEngine",
     "frontier_regex_relation",
-    "frontier_reachable",
     "CypherLikeEngine",
     "ENGINES",
     "Engine",

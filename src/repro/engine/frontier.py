@@ -22,9 +22,9 @@ per level in a handful of numpy passes:
 compiled NFA and the graph for *all* sources simultaneously: the
 frontier of a state is a packed (source, node) *relation*, so one
 (level, state, symbol) step costs one CSR gather regardless of how many
-sources are still alive.  :func:`frontier_reachable` is the single-
-colour variant (multi-label node reachability) shared with the Cypher
-engine's variable-length patterns.
+sources are still alive.  :func:`frontier_reachable_pairs` is the
+seeded variant (multi-label reachability from a seed column) behind the
+Cypher engine's variable-length patterns.
 
 The seed's per-source BFS survives in ``tests/oracles/reference_bfs.py``
 as the parity oracle.
@@ -45,7 +45,7 @@ from repro.columnar import (
 from repro.engine.automaton import NFA
 from repro.engine.budget import EvaluationBudget
 from repro.engine.relations import BinaryRelation
-from repro.execution.degrade import gather_pair_keys, gather_values
+from repro.execution.degrade import gather_pair_keys
 from repro.execution.faults import FAULTS, fault_point
 from repro.observability.metrics import METRICS
 from repro.observability.trace import TRACER
@@ -240,34 +240,3 @@ def frontier_reachable_pairs(
             sweep.set(levels=levels, visited_pairs=int(visited.size))
     return visited
 
-
-def frontier_reachable(
-    seeds: np.ndarray,
-    symbols: tuple[str, ...],
-    csr: SymbolCSRCache,
-    budget: EvaluationBudget,
-) -> np.ndarray:
-    """Nodes reachable from ``seeds`` along any of ``symbols`` (≥0 hops).
-
-    The single-colour frontier sweep: plain node ids instead of packed
-    pair keys, one CSR gather per (level, symbol).  Returns the sorted
-    visited column (read-only semantics; callers own the array).
-    """
-    visited = sorted_unique(seeds)
-    frontier = visited
-    while frontier.size:
-        budget.check_time()
-        FAULTS.hit(_FP_ADVANCE)
-        chunks: list[np.ndarray] = []
-        for symbol in symbols:
-            entry = csr.get(symbol)
-            if entry is None:
-                continue
-            successors = gather_values(frontier, entry[0], entry[1], budget)
-            if successors.size:
-                chunks.append(successors)
-        if not chunks:
-            break
-        candidates = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        frontier, visited = advance_frontier(candidates, visited)
-    return visited

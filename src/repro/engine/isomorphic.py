@@ -64,7 +64,7 @@ from repro.engine.frontier import (
     frontier_regex_relation,
 )
 from repro.errors import EngineBudgetExceeded, EngineCapabilityError
-from repro.execution.degrade import split_ranges
+from repro.execution.degrade import run_in_slices
 from repro.generation.graph import LabeledGraph
 from repro.observability.trace import TRACER
 from repro.queries.ast import (
@@ -591,92 +591,75 @@ class CypherLikeEngine(Engine):
     ) -> np.ndarray:
         """Evaluate one branch: extend the table a step at a time and
         project onto the head (unique rows)."""
-        bt = _BindingTable()
         with TRACER.span("engine.branch", steps=len(steps)) as branch:
             decisions: list[dict] | None = [] if branch else None
             ordered = _order_steps(steps, ctx, decisions)
             if branch:
                 branch.set(order=decisions)
-            bt = _run_steps(bt, ordered, 0, ctx)
-        if bt.row_count == 0:
-            return np.zeros((0, len(rule.head)), dtype=np.int64)
-        positions = [bt.var_pos[var] for var in rule.head]
-        if not positions:
-            # Boolean head: one unit row when the branch matched.
-            return np.zeros((min(bt.row_count, 1), 0), dtype=np.int64)
-        return unique_rows(bt.rows[:, positions])
+            rows = _run_steps(_BindingTable(), ordered, 0, rule.head, ctx)
+        return unique_rows(rows)
 
 
 def _run_steps(
-    bt: _BindingTable, ordered: list[_Step], position: int, ctx: _EvalContext
-) -> _BindingTable:
-    """Run steps ``position:`` over the table; the extended table.
+    bt: _BindingTable,
+    ordered: list[_Step],
+    position: int,
+    head: Sequence[str],
+    ctx: _EvalContext,
+) -> np.ndarray:
+    """Run steps ``position:`` over the table; its ``head`` columns.
 
     The degradation seam of the isomorphic engine: *proactively*, the
     budget's :meth:`slice_plan` may ask for the table to stream through
     the remaining steps in row slices; *reactively*, a row/byte abort
     during one step restores the pre-step snapshot (extensions may have
-    partially mutated the table) and re-runs it in halves.  Slices share
-    the deterministic column layout of the step sequence, so their final
-    matrices concatenate — the head projection deduplicates.
+    partially mutated the table) and re-runs it in halves.  Either way
+    :func:`~repro.execution.degrade.run_in_slices` drives the slices and
+    returns their deduplicated head rows, merged under the caps.  The
+    direct path returns the head projection of the final table as is
+    (its rows may repeat).
     """
     budget = ctx.budget
     for pos in range(position, len(ordered)):
         if bt.row_count == 0:
-            return bt
+            break
         pieces = budget.slice_plan(bt.row_count)
-        if pieces is not None:
-            return _run_sliced(bt, ordered, pos, ctx, pieces)
-        step = ordered[pos]
-        state = bt.snapshot()
-        try:
-            with TRACER.span("engine.step") as span:
-                if isinstance(step, _EdgeStep):
-                    _extend_edge_step(bt, step, ctx)
-                else:
-                    _extend_var_step(bt, step, ctx)
-                if span:
-                    span.set(
-                        step=_step_text(step),
-                        height=bt.row_count,
-                        width=int(bt.rows.shape[1]),
-                    )
-            budget.check_rows(bt.row_count)
-            budget.check_bytes(bt.rows.nbytes)
-        except EngineBudgetExceeded as exc:
-            bt.restore(state)
-            if bt.row_count > 1 and budget.should_degrade(exc):
-                return _run_sliced(bt, ordered, pos, ctx, 2)
-            raise
-        budget.check_time()
-    return bt
-
-
-def _run_sliced(
-    bt: _BindingTable,
-    ordered: list[_Step],
-    position: int,
-    ctx: _EvalContext,
-    pieces: int,
-) -> _BindingTable:
-    budget = ctx.budget
-    budget.record_degraded(
-        "iso.binding_table",
-        rows=int(bt.row_count),
-        step=position,
-        pieces=int(pieces),
-    )
-    parts: list[np.ndarray] = []
-    final: _BindingTable | None = None
-    for start, stop in split_ranges(bt.row_count, pieces):
-        piece = _run_steps(bt.slice(start, stop), ordered, position, ctx)
-        if piece.row_count:
-            parts.append(piece.rows)
-            final = piece
-    if final is None:
-        empty = _BindingTable()
-        empty.rows = np.zeros((0, bt.rows.shape[1]), dtype=np.int64)
-        empty.var_pos = dict(bt.var_pos)
-        return empty
-    final.rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return final
+        if pieces is None:
+            step = ordered[pos]
+            state = bt.snapshot()
+            try:
+                with TRACER.span("engine.step") as span:
+                    if isinstance(step, _EdgeStep):
+                        _extend_edge_step(bt, step, ctx)
+                    else:
+                        _extend_var_step(bt, step, ctx)
+                    if span:
+                        span.set(
+                            step=_step_text(step),
+                            height=bt.row_count,
+                            width=int(bt.rows.shape[1]),
+                        )
+                budget.check_rows(bt.row_count)
+                budget.check_bytes(bt.rows.nbytes)
+            except EngineBudgetExceeded as exc:
+                bt.restore(state)
+                if bt.row_count <= 1 or not budget.should_degrade(exc):
+                    raise
+                pieces = 2
+            else:
+                budget.check_time()
+                continue
+        return run_in_slices(
+            bt.row_count,
+            pieces,
+            lambda start, stop: _run_steps(
+                bt.slice(start, stop), ordered, pos, head, ctx
+            ),
+            len(head),
+            budget,
+            "iso.binding_table",
+            step=pos,
+        )
+    if bt.row_count == 0:
+        return np.zeros((0, len(head)), dtype=np.int64)
+    return bt.rows[:, [bt.var_pos[var] for var in head]]

@@ -33,7 +33,7 @@ from repro.engine.closure import ClosureRelation
 from repro.engine.relations import BinaryRelation
 from repro.engine.resultset import ResultSet
 from repro.errors import EngineBudgetExceeded
-from repro.execution.degrade import split_ranges
+from repro.execution.degrade import run_in_slices
 from repro.queries.ast import QueryRule
 
 
@@ -123,8 +123,7 @@ def _plan_steps(
 
     The schema evolution depends only on the rule and the join order, so
     the sliced (degraded) re-runs of a table share one plan — and every
-    slice's final table has the same column layout, making the union a
-    plain concatenation.
+    slice's final table has the same column layout and head positions.
     """
     schema: list[str] = []
     steps: list[tuple[int, int | None, int | None, bool]] = []
@@ -176,77 +175,57 @@ def _extend_step(
 def _join_from(
     steps: list,
     relations: list,
-    width: int,
+    head: list[int],
     step: int,
     table: np.ndarray,
     budget: EvaluationBudget,
 ) -> np.ndarray:
-    """Run conjunct steps ``step:`` over ``table``; the final matrix.
+    """Run conjunct steps ``step:`` over ``table``; its ``head`` columns.
 
     Degradation happens here, at the step boundary: *proactively* when
     the budget's :meth:`slice_plan` asks for the table to be processed
     in slices, and *reactively* when an extension's row/byte charge
     aborts — every extension kernel charges the budget **before**
     mutating or materialising, so the pre-step table is intact and can
-    be re-run in halves.  Slices recurse through the remaining steps
-    independently and their final tables concatenate (same plan, same
-    column layout); a 1-row table that still blows the cap re-raises —
-    the result itself is oversized, not just a transient.
+    be re-run in halves.  :func:`~repro.execution.degrade.run_in_slices`
+    streams the slices through the remaining steps and returns their
+    deduplicated head rows, merged under the caps; a 1-row table that
+    still blows the cap re-raises — the result itself is oversized, not
+    just a transient.  The direct path returns the head projection of
+    the final table as is (its rows may repeat).
     """
     for position in range(step, len(steps)):
         if table.shape[0] == 0:
-            return np.zeros((0, width), dtype=np.int64)
+            return np.zeros((0, len(head)), dtype=np.int64)
         pieces = budget.slice_plan(table.shape[0])
-        if pieces is not None:
-            return _join_sliced(
-                steps, relations, width, position, table, budget, pieces
-            )
-        index, src_pos, trg_pos, self_loop = steps[position]
-        relation = relations[index]
-        try:
-            extended = _extend_step(
-                table, relation, src_pos, trg_pos, self_loop, budget
-            )
-            budget.check_rows(extended.shape[0])
-            budget.check_bytes(extended.nbytes)
-        except EngineBudgetExceeded as exc:
-            if table.shape[0] > 1 and budget.should_degrade(exc):
-                return _join_sliced(
-                    steps, relations, width, position, table, budget, 2
+        if pieces is None:
+            index, src_pos, trg_pos, self_loop = steps[position]
+            try:
+                extended = _extend_step(
+                    table, relations[index], src_pos, trg_pos, self_loop, budget
                 )
-            raise
-        table = extended
-        budget.check_time()
-    return table
-
-
-def _join_sliced(
-    steps: list,
-    relations: list,
-    width: int,
-    step: int,
-    table: np.ndarray,
-    budget: EvaluationBudget,
-    pieces: int,
-) -> np.ndarray:
-    budget.record_degraded(
-        "join.binding_table",
-        rows=int(table.shape[0]),
-        step=step,
-        pieces=int(pieces),
-    )
-    parts: list[np.ndarray] = []
-    for start, stop in split_ranges(table.shape[0], pieces):
-        part = _join_from(
-            steps, relations, width, step, table[start:stop], budget
+                budget.check_rows(extended.shape[0])
+                budget.check_bytes(extended.nbytes)
+            except EngineBudgetExceeded as exc:
+                if table.shape[0] <= 1 or not budget.should_degrade(exc):
+                    raise
+                pieces = 2
+            else:
+                table = extended
+                budget.check_time()
+                continue
+        return run_in_slices(
+            table.shape[0],
+            pieces,
+            lambda start, stop: _join_from(
+                steps, relations, head, position, table[start:stop], budget
+            ),
+            len(head),
+            budget,
+            "join.binding_table",
+            step=position,
         )
-        if part.shape[0]:
-            parts.append(part)
-    if not parts:
-        return np.zeros((0, width), dtype=np.int64)
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts)
+    return table[:, head]
 
 
 def join_rule(
@@ -264,9 +243,9 @@ def join_rule(
     Under an :class:`~repro.execution.context.ExecutionContext` with
     degradation enabled, a binding table whose extension blows the
     row/byte cap is split and streamed through the remaining conjuncts
-    slice by slice (see :func:`_join_from`); the projection below
-    deduplicates across slices, so degraded and direct runs produce
-    identical results.
+    slice by slice (see :func:`_join_from`); each slice is projected
+    onto the head and merged under the caps, so degraded and direct
+    runs produce identical results whenever the answer fits.
     """
     budget = budget or unlimited()
     if order is None:
@@ -276,12 +255,12 @@ def join_rule(
     # matrix with one column per schema variable (one empty row = the
     # unit binding).
     steps, schema = _plan_steps(rule, order)
-    table = np.zeros((1, 0), dtype=np.int64)
-    table = _join_from(steps, relations, len(schema), 0, table, budget)
-
-    if table.shape[0] == 0:
-        return ResultSet.empty(len(rule.head))
     positions = [schema.index(var) for var in rule.head]
+    table = np.zeros((1, 0), dtype=np.int64)
+    rows = _join_from(steps, relations, positions, 0, table, budget)
+
+    if rows.shape[0] == 0:
+        return ResultSet.empty(len(rule.head))
     if not positions:
         return ResultSet.unit()
-    return ResultSet.from_table(table[:, positions])
+    return ResultSet.from_table(rows)

@@ -1,17 +1,27 @@
 """Chunked streaming fallbacks: graceful degradation kernels.
 
-When a frontier gather would blow the row/memory cap, the direct path
-(one :func:`~repro.columnar.expand_indptr` over the whole frontier)
-materialises arrays proportional to the *raw* gather size — which for
-duplicate-heavy frontiers is far larger than the deduplicated result.
-The degraded path processes the frontier in row slices, deduplicates
-each slice immediately, and merges the partial sorted columns, bounding
-peak transient memory by the chunk size while producing byte-identical
-results (the parity tests pin this).
+Two split-and-retry paths, each charging what it keeps:
 
-These kernels consult the budget's :meth:`degrade_plan` hook; a plain
-:class:`~repro.execution.budget.ResourceBudget` always answers None
-(direct path, original abort behaviour), so only an
+* **frontier gathers** (:func:`gather_pair_keys`).  When a gather would
+  blow the row/memory cap, the direct path (one
+  :func:`~repro.columnar.expand_ranges` over the whole frontier)
+  materialises arrays proportional to the *raw* gather size — which for
+  duplicate-heavy frontiers is far larger than the deduplicated result.
+  The degraded path processes the frontier in row slices, deduplicates
+  each slice immediately, and merges the partial sorted columns.
+* **binding tables** (:func:`run_in_slices`).  Both binding-table
+  drivers (``engine/joins.py`` and ``engine/isomorphic.py``) hand an
+  oversized table here; each row slice runs through the rest of the
+  rule and comes back projected onto the head, and the slices merge
+  into one deduplicated answer under the row and byte caps.
+
+Either way the evaluated answer equals the direct path's (the parity
+tests pin this), and an answer larger than the cap still aborts.
+
+The gather consults the budget's :meth:`degrade_plan` hook, and the
+drivers its :meth:`slice_plan` / :meth:`should_degrade` hooks; a plain
+:class:`~repro.execution.budget.ResourceBudget` always declines (direct
+path, original abort behaviour), so only an
 :class:`~repro.execution.context.ExecutionContext` pays for chunking.
 
 NOTE: this module imports :mod:`repro.columnar` and must therefore not
@@ -21,17 +31,19 @@ points via :mod:`repro.execution.faults` at import time).
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from repro.columnar import (
     EMPTY_I64,
     expand_indptr,
+    expand_ranges,
     merge_keys,
     pack_pairs,
     sorted_unique,
     sorted_unique_keys,
+    unique_rows,
 )
 from repro.execution.budget import ResourceBudget
 
@@ -80,7 +92,7 @@ def gather_pair_keys(
     """Packed ``(source, successor)`` candidate keys of one CSR gather.
 
     Returns ``(candidates, raw_total)``.  Direct path: one
-    :func:`expand_indptr` (raw keys, unsorted — the caller's
+    :func:`expand_ranges` (raw keys, unsorted — the caller's
     ``advance_frontier`` deduplicates).  Degraded path: the frontier is
     sliced, each slice's keys deduplicated and merged, and the merged
     size charged against the row cap — so a genuinely oversized
@@ -91,12 +103,9 @@ def gather_pair_keys(
     total = int(counts.sum())
     plan = budget.degrade_plan(total)
     if plan is None:
-        budget.check_rows(total)
-        if total == 0:
-            return EMPTY_I64, 0
-        probe_index = np.repeat(np.arange(nodes.size), counts)
-        offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        successors = payload[np.repeat(lo, counts) + offsets]
+        probe_index, successors = expand_ranges(
+            lo, counts, payload, budget.check_rows
+        )
         return pack_pairs(sources[probe_index], successors), total
     merged = EMPTY_I64
     chunks = 0
@@ -116,38 +125,32 @@ def gather_pair_keys(
     return merged, total
 
 
-def gather_values(
-    nodes: np.ndarray,
-    indptr: np.ndarray,
-    payload: np.ndarray,
+def run_in_slices(
+    nrows: int,
+    pieces: int,
+    run_slice: Callable[[int, int], np.ndarray],
+    width: int,
     budget: ResourceBudget,
-    site: str = "frontier.gather_values",
+    site: str,
+    **info,
 ) -> np.ndarray:
-    """Successor values of one single-colour CSR gather (may dedup).
+    """Stream an ``nrows``-row binding table through the rest of a rule.
 
-    The plain-node variant of :func:`gather_pair_keys` used by the
-    single-colour reachability sweep: the degraded path returns the
-    sorted unique successor column (its consumer deduplicates anyway).
+    ``run_slice(start, stop)`` evaluates rows ``[start, stop)`` to the
+    end of the rule and returns that slice's ``width``-column head
+    projection.  Slices run one at a time; each is merged into the
+    deduplicated answer (:func:`~repro.columnar.unique_rows`) and the
+    merge is charged against the row and byte caps before the next
+    slice starts, so an answer larger than the cap aborts instead of
+    accumulating.  One degraded event is recorded per call.
     """
-    lo = indptr[nodes]
-    counts = indptr[nodes + 1] - lo
-    total = int(counts.sum())
-    plan = budget.degrade_plan(total)
-    if plan is None:
-        budget.check_rows(total)
-        if total == 0:
-            return EMPTY_I64
-        offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        return payload[np.repeat(lo, counts) + offsets]
-    merged = EMPTY_I64
-    chunks = 0
-    for start, stop in row_slices(counts, plan):
-        _, successors = expand_indptr(nodes[start:stop], indptr, payload)
-        chunks += 1
-        if successors.size == 0:
+    budget.record_degraded(site, rows=int(nrows), pieces=int(pieces), **info)
+    answer = np.zeros((0, width), dtype=np.int64)
+    for start, stop in split_ranges(nrows, pieces):
+        part = run_slice(start, stop)
+        if part.shape[0] == 0:
             continue
-        merged = merge_keys(merged, sorted_unique(successors))
-        budget.check_rows(merged.size)
-        budget.check_time()
-    budget.record_degraded(site, rows=total, chunks=chunks)
-    return merged
+        answer = unique_rows(np.concatenate((answer, part)))
+        budget.check_rows(answer.shape[0])
+        budget.check_bytes(answer.nbytes)
+    return answer

@@ -19,15 +19,9 @@ branches for parity to be meaningful.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.engine.base import Engine
 from repro.engine.budget import EvaluationBudget
-from repro.engine.frontier import (
-    SymbolCSRCache,
-    frontier_reachable,
-    frontier_regex_relation,
-)
+from repro.engine.frontier import SymbolCSRCache, frontier_regex_relation
 from repro.engine.isomorphic import (
     _EdgeStep,
     _Step,
@@ -241,6 +235,33 @@ def _reachable_candidates(
             )
 
 
+def _reachable(
+    seed: int,
+    symbols: tuple[str, ...],
+    graph: LabeledGraph,
+    budget: EvaluationBudget,
+    csr: SymbolCSRCache | None,
+) -> set[int]:
+    """Nodes reachable from ``seed`` along any of ``symbols`` (>= 0 hops).
+
+    A plain depth-first search over the symbols' CSR rows, one node at a
+    time — independent of the engine's frontier sweeps.
+    """
+    csr = csr or SymbolCSRCache(graph)
+    rows = [entry for entry in map(csr.get, symbols) if entry is not None]
+    seen = {seed}
+    stack = [seed]
+    while stack:
+        budget.check_time()
+        node = stack.pop()
+        for indptr, payload in rows:
+            for successor in payload[indptr[node]:indptr[node + 1]].tolist():
+                if successor not in seen:
+                    seen.add(successor)
+                    stack.append(successor)
+    return seen
+
+
 def _forward_reachable(
     source: int,
     labels: tuple[str, ...],
@@ -248,10 +269,8 @@ def _forward_reachable(
     budget: EvaluationBudget,
     csr: SymbolCSRCache | None = None,
 ) -> set[int]:
-    """Nodes reachable from ``source`` along the labels (frontier sweep)."""
-    seeds = np.array([source], dtype=np.int64)
-    csr = csr or SymbolCSRCache(graph)
-    return set(frontier_reachable(seeds, labels, csr, budget).tolist())
+    """Nodes reachable from ``source`` along the labels."""
+    return _reachable(source, labels, graph, budget, csr)
 
 
 def _backward_reachable(
@@ -261,8 +280,6 @@ def _backward_reachable(
     budget: EvaluationBudget,
     csr: SymbolCSRCache | None = None,
 ) -> set[int]:
-    """Nodes reaching ``target`` along the labels (inverse sweep)."""
-    seeds = np.array([target], dtype=np.int64)
+    """Nodes reaching ``target`` along the labels (inverse symbols)."""
     symbols = tuple(label + "-" for label in labels)
-    csr = csr or SymbolCSRCache(graph)
-    return set(frontier_reachable(seeds, symbols, csr, budget).tolist())
+    return _reachable(target, symbols, graph, budget, csr)

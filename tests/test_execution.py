@@ -12,6 +12,8 @@ Covers the hardened-execution layer (:mod:`repro.execution`):
   equal to direct execution on every engine family (frontier sweep,
   vectorized joins, isomorphic binding tables), both proactively
   (``degrade_rows``) and reactively (a byte cap the direct plan blows);
+* **caps under degradation** — a sliced run whose answer exceeds the
+  row cap aborts on rows within a bounded traced peak;
 * **partial mode** — ``on_budget="partial"`` returns an incomplete
   :class:`ResultSet` carrying an :class:`AbortReport`;
 * the Session default budget, atomic graph serialisation, and the CLI
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -353,6 +356,88 @@ class TestDegradedParityOnFixtureGraphs:
             pytest.skip(f"{engine} rejects {text}: {exc}")
         ctx = ExecutionContext(degrade_rows=8, chunk_rows=8)
         assert evaluate_query(query, tiny_graph, engine, ctx) == direct
+
+
+#: lsn Con 17 of ``stress_workload("lsn", cfg, 10, seed=1)``: every
+#: binding-table slice passes a 40 000-row cap, the answer does not.
+QUERY_OVER_CAP = (
+    "(?x0, ?x3) <- "
+    "(?x0, (hasCreator.knows.knows- + hasCreator.hasInterest.hasInterest-), ?x1), "
+    "(?x1, (knows.knows- + knows-.likes.hasCreator), ?x2), "
+    "(?x2, likes.likes-, ?x3)"
+)
+
+
+class TestCapsHoldWhileDegrading:
+    """Sliced execution merges each slice's head rows under the caps, so
+    an answer above the row cap aborts on rows, as under a plain budget,
+    without first materialising the slices' full-width tables."""
+
+    @pytest.fixture(scope="class")
+    def lsn(self):
+        lsn = Session.from_scenario("lsn", 2000, seed=0)
+        lsn.graph()
+        return lsn
+
+    @pytest.mark.parametrize("engine", ENGINES_UNDER_TEST)
+    def test_answer_above_the_cap_aborts_on_rows(self, lsn, engine):
+        ctx = ExecutionContext(max_rows=40_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EngineBudgetExceeded) as info:
+                lsn.evaluate(QUERY_OVER_CAP, engine, budget=ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.resource == "rows"
+        assert ctx.events, "the cap should have been met by slicing first"
+        assert peak < 64 << 20, f"traced peak {peak / 2**20:.0f} MiB"
+
+    @pytest.mark.parametrize("engine", ENGINES_UNDER_TEST)
+    def test_partial_mode_returns_an_incomplete_result(self, lsn, engine):
+        ctx = ExecutionContext(max_rows=40_000, on_budget="partial")
+        result = lsn.evaluate(QUERY_OVER_CAP, engine, budget=ctx)
+        assert result.complete is False
+        assert result.abort_report.resource == "rows"
+
+    @pytest.mark.nightly
+    @pytest.mark.parametrize("scenario", ["bib", "lsn", "sp", "wd"])
+    def test_stress_corpus_stays_inside_the_caps(self, scenario):
+        """Every Len / Dis / Con / Rec stress query at 2 000 nodes, on
+        every engine, under a 40 000-row cap and a 1 s deadline: the
+        context never raises ``MemoryError``, peaks below 64 MiB
+        traced, and answers as a plain budget does wherever both
+        answer."""
+        from repro.analysis.experiments import STRESS_WORKLOADS, stress_workload
+        from repro.engine.evaluator import evaluate_query
+        from repro.errors import EngineCapabilityError
+
+        def answer(query, graph, engine, budget):
+            try:
+                return evaluate_query(query, graph, engine, budget)
+            except (EngineBudgetExceeded, EngineCapabilityError):
+                return None
+
+        graph = Session.from_scenario(scenario, 2000, seed=0).graph()
+        caps = dict(max_rows=40_000, timeout_seconds=1.0)
+        for family in STRESS_WORKLOADS:
+            workload = stress_workload(family, graph.config, 10, seed=1)
+            for generated in workload:
+                query = generated.query
+                for engine in ENGINES_UNDER_TEST:
+                    tracemalloc.start()
+                    try:
+                        sliced = answer(
+                            query, graph, engine, ExecutionContext(**caps)
+                        )
+                        _, peak = tracemalloc.get_traced_memory()
+                    finally:
+                        tracemalloc.stop()
+                    where = (family, query.to_text(), engine)
+                    assert peak <= 64 << 20, (where, peak)
+                    plain = answer(query, graph, engine, ResourceBudget(**caps))
+                    if sliced is not None and plain is not None:
+                        assert sliced == plain, where
 
 
 # -- partial results ----------------------------------------------------

@@ -8,6 +8,11 @@ for each text P / S / G / D's ``count_distinct`` under
 stored, not regenerated, so a change to the workload generator cannot
 move the fixture; only the graph is rebuilt from its seed.
 
+The answers are also checked under an
+:class:`~repro.execution.ExecutionContext` that slices every binding
+table above 256 rows: a sliced run must reproduce every whole stored
+answer (it may answer where the plain cap aborts).
+
 A change that moves a stored answer must say why in ``CHANGES.md``.
 Regenerate the file (after such a change, and only then) with::
 
@@ -30,7 +35,7 @@ from repro import (
     generate_workload,
 )
 from repro.errors import EngineBudgetExceeded, EngineCapabilityError
-from repro.execution import ResourceBudget
+from repro.execution import ExecutionContext, ResourceBudget
 from repro.queries.parser import parse_query
 from repro.scenarios import scenario_schema
 
@@ -46,6 +51,14 @@ MIX_SIZE = 60
 MIX_RECURSION = 0.3
 ROWS_PER_NODE = 20
 
+#: The budgets the stored answers are checked under, by row cap: the
+#: ledger's plain cap, and a context that slices every binding table
+#: above 256 rows.
+BUDGETS = {
+    "plain": lambda max_rows: ResourceBudget(max_rows=max_rows),
+    "sliced": lambda max_rows: ExecutionContext(max_rows=max_rows, degrade_rows=256),
+}
+
 
 def _graph(fixture: dict):
     configuration = GraphConfiguration(
@@ -54,23 +67,25 @@ def _graph(fixture: dict):
     return generate_graph(configuration, seed=fixture["instance_seed"])
 
 
-def _answer(query, graph, engine: str, max_rows: int):
+def _answer(query, graph, engine: str, budget: ResourceBudget):
     try:
-        return count_distinct(query, graph, engine, ResourceBudget(max_rows=max_rows))
+        return count_distinct(query, graph, engine, budget)
     except EngineBudgetExceeded:
         return "abort"
     except EngineCapabilityError:
         return "unsupported"
 
 
-def _answers(texts: list[str], graph, max_rows: int) -> list[dict]:
-    """Every engine's answer per text (a repeated text is evaluated once)."""
+def _answers(texts: list[str], graph, new_budget) -> list[dict]:
+    """Every engine's answer per text (a repeated text is evaluated once),
+    each under a fresh ``new_budget()``."""
     memo: dict[str, dict] = {}
     for text in texts:
         if text not in memo:
             query = parse_query(text)
             memo[text] = {
-                engine: _answer(query, graph, engine, max_rows) for engine in ENGINES
+                engine: _answer(query, graph, engine, new_budget())
+                for engine in ENGINES
             }
     return [memo[text] for text in texts]
 
@@ -96,7 +111,9 @@ def regenerate() -> dict:
         seed=MIX_SEED,
     )
     texts = [generated.query.to_text() for generated in workload]
-    answers = _answers(texts, _graph(fixture), fixture["max_rows"])
+    answers = _answers(
+        texts, _graph(fixture), lambda: BUDGETS["plain"](fixture["max_rows"])
+    )
     fixture["queries"] = [
         {"text": text, **answer} for text, answer in zip(texts, answers)
     ]
@@ -109,9 +126,23 @@ def stored() -> dict:
 
 
 @pytest.fixture(scope="module")
-def observed(stored) -> list[dict]:
+def graph(stored):
+    return _graph(stored)
+
+
+@pytest.fixture(scope="module", params=list(BUDGETS))
+def observed(request, stored, graph) -> tuple[str, list[dict], int]:
+    """(budget kind, answers, evaluations that sliced a binding table)."""
+    budgets: list[ResourceBudget] = []
+
+    def new_budget() -> ResourceBudget:
+        budgets.append(BUDGETS[request.param](stored["max_rows"]))
+        return budgets[-1]
+
     texts = [entry["text"] for entry in stored["queries"]]
-    return _answers(texts, _graph(stored), stored["max_rows"])
+    answers = _answers(texts, graph, new_budget)
+    sliced = sum(bool(getattr(budget, "events", None)) for budget in budgets)
+    return request.param, answers, sliced
 
 
 def test_fixture_is_the_ledger_mix(stored):
@@ -122,8 +153,17 @@ def test_fixture_is_the_ledger_mix(stored):
 
 
 def test_answers_match_the_fixture(stored, observed):
-    for entry, answer in zip(stored["queries"], observed):
-        assert answer == {engine: entry[engine] for engine in ENGINES}, entry["text"]
+    kind, answers, sliced = observed
+    for entry, answer in zip(stored["queries"], answers):
+        expected = {engine: entry[engine] for engine in ENGINES}
+        if kind == "sliced":
+            # Degradation may answer what the plain cap aborts.
+            expected = {
+                engine: answer[engine] if value == "abort" else value
+                for engine, value in expected.items()
+            }
+        assert answer == expected, entry["text"]
+    assert (sliced > 0) == (kind == "sliced")
 
 
 def test_engines_agree_on_the_fixture(stored):
