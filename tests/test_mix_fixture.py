@@ -13,6 +13,10 @@ The answers are also checked under an
 table above 256 rows: a sliced run must reproduce every whole stored
 answer (it may answer where the plain cap aborts).
 
+Every whole answer of D is also checked against an independent count:
+the repository's SQL translation run on stdlib ``sqlite3``
+(``oracles/sqlite_oracle.py``).
+
 A change that moves a stored answer must say why in ``CHANGES.md``.
 Regenerate the file (after such a change, and only then) with::
 
@@ -38,6 +42,8 @@ from repro.errors import EngineBudgetExceeded, EngineCapabilityError
 from repro.execution import ExecutionContext, ResourceBudget
 from repro.queries.parser import parse_query
 from repro.scenarios import scenario_schema
+
+from oracles.sqlite_oracle import SqliteOracle
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "mix_bib2500.json"
 ENGINES = ("P", "S", "G", "D")
@@ -179,6 +185,20 @@ def test_engines_agree_on_the_fixture(stored):
             if not parse_query(entry["text"]).has_recursion:
                 assert g <= d, entry["text"]
     assert whole > MIX_SIZE // 2
+
+
+def test_sqlite_agrees_with_d_on_the_fixture(stored, graph):
+    """sqlite, which shares no code with the engines, returns D's count
+    on every text D answers whole."""
+    whole = {
+        entry["text"]: entry["D"]
+        for entry in stored["queries"]
+        if isinstance(entry["D"], int)
+    }
+    with SqliteOracle(graph) as oracle:
+        for text, expected in whole.items():
+            assert oracle.count(parse_query(text)) == expected, text
+    assert len(whole) > MIX_SIZE // 2
 
 
 if __name__ == "__main__":
