@@ -20,7 +20,7 @@ from repro import (
 )
 from repro.analysis.reporting import format_table
 from repro.engine import EvaluationBudget, ResultSet
-from repro.engine.base import Engine, SymbolRelationCache, regex_to_relation
+from repro.engine.base import Engine, regex_to_relation
 from repro.engine.closure import ClosureRelation
 from repro.engine.evaluator import ENGINES
 from repro.errors import EngineError
@@ -41,7 +41,7 @@ class NestedLoopEngine(Engine):
 
     def evaluate(self, query, graph, budget=None):
         budget = (budget or EvaluationBudget()).start()
-        cache = SymbolRelationCache(graph)
+        cache = self.conjunct_cache(graph)
         answers = set()
         for rule in query.rules:
             relations = [

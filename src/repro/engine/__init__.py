@@ -5,11 +5,12 @@ systems.  This package substitutes four in-process engines, each
 modelled on the query-processing strategy that drives the behaviour the
 paper observes (see DESIGN.md §3):
 
-* :class:`DatalogLikeEngine` (**D**) — semi-naive bottom-up evaluation;
-  the only engine comfortable with recursion (Table 4);
-* :class:`PostgresLikeEngine` (**P**) — vectorised sort-merge/hash
-  joins with SQL:1999-style linear recursion; strong on non-recursive
-  queries, degrades badly on recursion;
+* :class:`DatalogLikeEngine` (**D**) — bottom-up evaluation with
+  SCC-compressed closures; the only engine comfortable with recursion
+  (Table 4);
+* :class:`PostgresLikeEngine` (**P**) — vectorised CSR-gather path
+  joins with SQL:1999-style naive linear recursion; strong on
+  non-recursive queries, degrades badly on recursion;
 * :class:`SparqlLikeEngine` (**S**) — multi-source NFA-product frontier
   BFS (the property-path strategy, vectorized per level); wins on
   quadratic workloads;

@@ -1,21 +1,17 @@
 """The Datalog-like engine ("D" in the paper's §7).
 
-Semi-naive bottom-up evaluation: every conjunct regex is materialised
-as a binary relation (closures by delta iteration), then the rule body
-is hash-joined.  The flat, delta-driven closure is why D is the only
-system that completes the recursive workload in Table 4 — and why its
-constant/linear/quadratic times blur together in Fig. 12 (it always
-pays full materialisation).
+Bottom-up evaluation: every conjunct regex is materialised as a binary
+relation (paths by the CSR path step P shares, stars as an SCC-compressed
+closure built one condensation-DAG level at a time), then the rule body
+is joined by CSR gathers and sort-merge lookups.  The compressed closure
+is why D is the only system that completes the recursive workload in
+Table 4 — and why its constant/linear/quadratic times blur together in
+Fig. 12 (it always pays full materialisation).
 """
 
 from __future__ import annotations
 
-from repro.engine.base import (
-    Engine,
-    SymbolRelationCache,
-    regex_to_relation,
-    register_engine,
-)
+from repro.engine.base import Engine, regex_to_relation, register_engine
 from repro.engine.budget import EvaluationBudget
 from repro.generation.graph import LabeledGraph
 from repro.queries.ast import Query
@@ -23,11 +19,10 @@ from repro.queries.ast import Query
 
 @register_engine
 class DatalogLikeEngine(Engine):
-    """Bottom-up semi-naive evaluation with full materialisation."""
+    """Bottom-up evaluation with full materialisation."""
 
     name = "datalog"
     paper_system = "D"
-    conjunct_cache = SymbolRelationCache
 
     def conjunct_relation(self, regex, graph, budget, cache):
         return regex_to_relation(regex, cache, budget)

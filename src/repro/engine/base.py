@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from repro.columnar import expand_indptr, sorted_unique_keys
 from repro.engine.budget import EvaluationBudget
 from repro.engine.closure import ClosureRelation
+from repro.engine.frontier import SymbolCSRCache
 from repro.engine.joins import join_rule
 from repro.engine.relations import BinaryRelation
 from repro.engine.resultset import ResultSet
@@ -106,11 +108,9 @@ class Engine:
                     raise
                 return partial
 
-    @staticmethod
-    def conjunct_cache(graph: LabeledGraph):
-        """Built once per evaluation and handed to every
-        :meth:`conjunct_relation` call (engines set a cache class)."""
-        return None
+    #: Built once per evaluation and handed to every
+    #: :meth:`conjunct_relation` call (engines compare on strategy alone).
+    conjunct_cache = SymbolCSRCache
 
     def conjunct_relation(
         self,
@@ -168,35 +168,17 @@ class Engine:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-class SymbolRelationCache:
-    """Per-(graph, evaluation) cache of single-symbol relations.
-
-    Engines repeatedly need the relation of the same symbol (e.g. the
-    same label in several conjuncts); building it once per evaluation
-    keeps the comparison between engines about *strategy*, not caching.
-    """
-
-    def __init__(self, graph: LabeledGraph):
-        self.graph = graph
-        self._cache: dict[str, BinaryRelation] = {}
-
-    def relation(self, symbol: str) -> BinaryRelation:
-        cached = self._cache.get(symbol)
-        if cached is None:
-            cached = BinaryRelation.from_graph_symbol(self.graph, symbol)
-            self._cache[symbol] = cached
-        return cached
-
-
 def disjunction_relation(
     regex: RegularExpression,
-    cache: SymbolRelationCache,
+    cache: SymbolCSRCache,
     budget: EvaluationBudget,
 ) -> BinaryRelation:
     """The union of a regular expression's disjuncts, ignoring its star.
 
-    Each disjunct composes symbol relations left to right (ε is the
-    identity over every graph node); the star, if any, is the caller's.
+    Each disjunct starts from its first symbol's relation and extends by
+    one CSR gather per further symbol, charging the step's raw size
+    before building it; ε is the identity over every graph node.  The
+    star, if any, is the caller's.
     """
     combined: BinaryRelation | None = None
     for path in regex.disjuncts:
@@ -205,7 +187,17 @@ def disjunction_relation(
         else:
             path_relation = cache.relation(path.symbols[0])
             for symbol in path.symbols[1:]:
-                path_relation = path_relation.compose(cache.relation(symbol), budget)
+                csr = cache.get(symbol)
+                if csr is None:  # a symbol with no edges ends the path
+                    path_relation = BinaryRelation()
+                    break
+                probe, values = expand_indptr(
+                    path_relation.target_array, *csr, budget.check_rows
+                )
+                budget.check_time()
+                path_relation = BinaryRelation.from_keys(
+                    sorted_unique_keys(path_relation.source_array[probe], values)
+                )
         combined = path_relation if combined is None else combined.union(path_relation)
         budget.check_time()
     assert combined is not None  # the AST guarantees >= 1 disjunct
@@ -214,7 +206,7 @@ def disjunction_relation(
 
 def regex_to_relation(
     regex: RegularExpression,
-    cache: SymbolRelationCache,
+    cache: SymbolCSRCache,
     budget: EvaluationBudget,
 ) -> BinaryRelation:
     """Evaluate a regular expression to its full binary relation.

@@ -55,18 +55,19 @@ _FP_ADVANCE = fault_point("frontier.advance")
 
 
 class SymbolCSRCache:
-    """Per-evaluation cache of ``(indptr, payload)`` pairs per symbol.
+    """Per-evaluation cache of each symbol's CSR index and relation.
 
-    Resolves through :meth:`LabeledGraph.csr_arrays` (zero-copy views
-    of the columnar store's lazy CSR indexes).  ``None`` marks a symbol
-    with no edges.
+    Every engine's ``conjunct_cache``.  :meth:`get` resolves through
+    :meth:`LabeledGraph.csr_arrays` (zero-copy views of the columnar
+    store's lazy CSR indexes; ``None`` marks a symbol with no edges).
     """
 
-    __slots__ = ("graph", "_entries")
+    __slots__ = ("graph", "_entries", "_relations")
 
     def __init__(self, graph):
         self.graph = graph
         self._entries: dict[str, tuple[np.ndarray, np.ndarray] | None] = {}
+        self._relations: dict[str, BinaryRelation] = {}
 
     def get(self, symbol: str) -> tuple[np.ndarray, np.ndarray] | None:
         entry = self._entries.get(symbol, False)
@@ -74,6 +75,14 @@ class SymbolCSRCache:
             return entry
         entry = self._entries[symbol] = self.graph.csr_arrays(symbol)
         return entry
+
+    def relation(self, symbol: str) -> BinaryRelation:
+        relation = self._relations.get(symbol)
+        if relation is None:
+            relation = self._relations[symbol] = BinaryRelation.from_graph_symbol(
+                self.graph, symbol
+            )
+        return relation
 
 
 def frontier_regex_relation(

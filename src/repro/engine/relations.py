@@ -1,16 +1,18 @@
-"""Binary relations and their algebra (the Datalog engine's workhorse).
+"""Binary relations: the columnar pair sets P and D evaluate into.
 
 A :class:`BinaryRelation` is a set of (source, target) integer pairs
 stored **columnar**: one :class:`~repro.columnar.PairStore` (a sorted,
 deduplicated ``int64`` key column), exactly the physical layout of the
 graph's per-label CSR stores — :meth:`BinaryRelation.from_graph_symbol`
-adopts a label's key column zero-copy.  The UCRPQ operations — union,
-composition, inverse — are vectorized sorted-set algebra
-(``merge_keys`` unions, sort-merge ``np.searchsorted`` joins), with
-budget hooks so runaway joins surface as
-:class:`~repro.errors.EngineBudgetExceeded`; join sizes are charged
-against the budget *before* the output arrays are materialised.  Stars
-are the closure's business (:mod:`repro.engine.closure`).
+adopts a label's key column zero-copy, and an inverse label's packed
+backward index without re-sorting.  Union and inverse are sorted-set
+algebra (``merge_keys``, ``sorted_unique_keys``).  Paths extend through
+the graph's CSR (:func:`repro.engine.base.extend_path`); :meth:`~
+BinaryRelation.compose`, a sort-merge ``np.searchsorted`` join of two
+relations, serves P's star fixpoint only.  Join sizes are charged
+against the budget *before* the output arrays are materialised, so
+runaway joins surface as :class:`~repro.errors.EngineBudgetExceeded`.
+D's stars are the closure's business (:mod:`repro.engine.closure`).
 
 Relations are built from columns (:meth:`BinaryRelation.from_arrays`,
 :meth:`~BinaryRelation.from_keys`) and read as columns
@@ -38,7 +40,7 @@ from repro.columnar import (
 )
 from repro.engine.budget import EvaluationBudget, unlimited
 from repro.generation.graph import LabeledGraph
-from repro.queries.ast import is_inverse, symbol_base
+from repro.queries.ast import is_inverse
 
 
 class BinaryRelation:
@@ -79,17 +81,19 @@ class BinaryRelation:
     def from_graph_symbol(cls, graph: LabeledGraph, symbol: str) -> "BinaryRelation":
         """Relation of one symbol in ``Sigma±`` (inverse swaps columns).
 
-        Uses the graph's columnar ``edge_arrays`` fast path: the forward
-        direction adopts the label's already-sorted key column without
-        re-sorting; the inverse repacks with the columns swapped.
+        A label adopts its sorted key column zero-copy.  An inverse
+        packs the label's backward CSR index (:meth:`LabeledGraph.
+        csr_arrays`): the store stable-sorts it on target, so the packed
+        ``(target, source)`` keys are already sorted and unique.
         """
-        label = symbol_base(symbol)
-        sources, targets = graph.edge_arrays(label)
-        if sources.size == 0:
+        if not is_inverse(symbol):
+            return cls.from_keys(graph.edge_keys(symbol))
+        csr = graph.csr_arrays(symbol)
+        if csr is None:
             return cls()
-        if is_inverse(symbol):
-            return cls.from_keys(sorted_unique_keys(targets, sources))
-        return cls.from_keys(graph.edge_keys(label))
+        indptr, sources = csr
+        targets = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        return cls.from_keys(pack_pairs(targets, sources))
 
     @classmethod
     def identity(cls, nodes: Iterable[int]) -> "BinaryRelation":
@@ -168,9 +172,10 @@ class BinaryRelation:
     ) -> "BinaryRelation":
         """``{(a, c) | (a, b) ∈ self, (b, c) ∈ other}`` (sort-merge join).
 
-        The probe side is this relation's target column, the build side
-        the other's sorted source column; the raw join size is charged
-        against the budget *before* materialisation.
+        P's star fixpoint joins its accumulated relation with the base
+        through this.  The probe side is this relation's target column,
+        the build side the other's sorted source column; the raw join
+        size is charged against the budget *before* materialisation.
         """
         budget = budget or unlimited()
         if len(self) == 0 or len(other) == 0:

@@ -21,25 +21,21 @@ from repro.queries.ast import Query
 from repro.translate import TRANSLATORS
 from repro.translate.sql import edge_table
 
+#: A query still running this long raises ``sqlite3.OperationalError``
+#: (interrupted) rather than hanging the test that asked.
+TIMEOUT_SECONDS = 120.0
 #: sqlite calls the progress handler every this many virtual-machine
 #: instructions; the handler aborts a query past its deadline.
 _PROGRESS_STEPS = 10_000
 
 
 class SqliteOracle:
-    """One graph in an in-memory sqlite database; counts queries on it.
+    """One graph in an in-memory sqlite database; counts queries on it."""
 
-    ``timeout_seconds`` bounds each :meth:`count`: a query still running
-    past it raises ``sqlite3.OperationalError`` (interrupted) rather
-    than hanging the test that asked.
-    """
-
-    def __init__(self, graph, timeout_seconds: float = 120.0):
+    def __init__(self, graph):
         self.connection = sqlite3.connect(":memory:")
-        self.timeout_seconds = timeout_seconds
         self._deadline = float("inf")
         self.connection.set_progress_handler(self._expired, _PROGRESS_STEPS)
-        self.seconds = 0.0
         self._load(graph)
 
     def _expired(self) -> bool:
@@ -67,13 +63,11 @@ class SqliteOracle:
     def count(self, query: Query) -> int:
         """``count(distinct head)`` of ``query``, computed by sqlite."""
         text = TRANSLATORS["sql"].translate_query(query, count_distinct=True)
-        start = time.perf_counter()
-        self._deadline = start + self.timeout_seconds
+        self._deadline = time.perf_counter() + TIMEOUT_SECONDS
         try:
             (count,) = self.connection.execute(text).fetchone()
         finally:
             self._deadline = float("inf")
-            self.seconds += time.perf_counter() - start
         return int(count)
 
     def edge_count(self, label: str) -> int:

@@ -8,6 +8,7 @@ construction, G's branch expansion and reachability helpers.
 
 import pytest
 
+from repro.engine.algebraic import DatalogLikeEngine
 from repro.engine.budget import unlimited
 from repro.engine.bfs import SparqlLikeEngine
 from repro.engine.isomorphic import CypherLikeEngine, _approximate_labels
@@ -15,7 +16,12 @@ from repro.engine.relations import BinaryRelation
 from repro.engine.resultset import ResultSet
 from repro.engine.sqllike import PostgresLikeEngine
 from repro.errors import EngineCapabilityError
+from repro.generation.generator import generate_graph
+from repro.queries.generator import generate_workload
 from repro.queries.parser import parse_query, parse_regex
+from repro.queries.shapes import QueryShape
+from repro.queries.workload import WorkloadConfiguration
+from repro.schema.config import GraphConfiguration
 
 from oracles.reference_closure import transitive_closure
 from oracles.reference_isomorphic import _forward_reachable
@@ -82,17 +88,56 @@ class TestSqlPrimitives:
         )
 
 
+class TestPathStep:
+    def test_paths_extend_through_the_csr_not_compose(self, bib, monkeypatch):
+        """P and D extend every path one symbol at a time through the
+        graph's CSR index: a recursion-free workload of all four shapes
+        evaluates with ``BinaryRelation.compose`` (kept for P's star
+        fixpoint) refusing every call."""
+        graph = generate_graph(GraphConfiguration(400, bib), seed=4)
+        workload = generate_workload(
+            WorkloadConfiguration(
+                graph.config,
+                size=24,
+                shapes=tuple(QueryShape),
+                recursion_probability=0.0,
+            ),
+            seed=4,
+        )
+        assert {generated.shape for generated in workload} == set(QueryShape)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a path composed whole relations")
+
+        monkeypatch.setattr(BinaryRelation, "compose", refuse)
+        concatenations = 0
+        for generated in workload:
+            query = generated.query
+            assert not query.has_recursion
+            concatenations += sum(
+                len(path.symbols) > 1
+                for rule in query.rules
+                for conjunct in rule.body
+                for path in conjunct.regex.disjuncts
+            )
+            postgres = PostgresLikeEngine().evaluate(query, graph, unlimited())
+            datalog = DatalogLikeEngine().evaluate(query, graph, unlimited())
+            assert postgres == datalog, query.to_text()
+        assert concatenations > 0
+
+
 class TestBfsRelationConstruction:
     def test_regex_relation_matches_algebraic(self, bib_graph):
         engine = SparqlLikeEngine()
-        from repro.engine.base import SymbolRelationCache, regex_to_relation
+        from repro.engine.base import regex_to_relation
+        from repro.engine.frontier import SymbolCSRCache
 
         for text in ("authors", "authors-.authors", "(authors.publishedIn + extendedTo)"):
             regex = parse_regex(text)
             via_bfs = engine.conjunct_relation(
                 regex, bib_graph, unlimited(), engine.conjunct_cache(bib_graph)
             )
-            cache = SymbolRelationCache(bib_graph)
+            cache = SymbolCSRCache(bib_graph)
             via_algebra = regex_to_relation(regex, cache, unlimited())
             assert via_bfs == via_algebra, text
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.engine import ENGINES, EvaluationBudget, count_distinct, evaluate_query
 from repro.engine.evaluator import engine_by_name
+from repro.engine.relations import BinaryRelation
 from repro.errors import EngineBudgetExceeded, EngineError
 from repro.generation.generator import generate_graph
 from repro.queries.generator import generate_workload
@@ -169,17 +170,38 @@ class TestHomomorphicAgreement:
             assert results["sparql"] == results["datalog"]
 
 
+class _RowRecorder:
+    """A budget that records every ``check_rows`` charge and never aborts."""
+
+    def __init__(self):
+        self.charges = []
+
+    def check_rows(self, rows):
+        self.charges.append(rows)
+
+    def check_time(self):
+        pass
+
+
 class TestPostgresDatalogConjunctParity:
     """On regexes without a star, P's and D's conjunct strategies are the
     same relation algebra: equal relations, and budget aborts on the same
     row caps (the ledger screens its mix by those aborts)."""
 
+    #: Paths of three and four steps, through inverses, where the CSR
+    #: path step and a join of whole relations could charge differently.
+    LONG_PATHS = [
+        "authors-.authors.publishedIn.heldIn",
+        "publishedIn-.authors-.authors",
+        "heldIn-.publishedIn-.authors-",
+    ]
     REGEXES = [
         "authors",
         "authors-",
         "eps",
         "authors-.authors.publishedIn",
         "(authors.publishedIn + eps + heldIn-)",
+        *LONG_PATHS,
     ]
 
     @staticmethod
@@ -197,6 +219,18 @@ class TestPostgresDatalogConjunctParity:
             return True
         return False
 
+    def _smallest_passing_cap(self, name, text, graph):
+        """Bisect the smallest row cap under which ``name`` answers."""
+        low, high = 0, EvaluationBudget().max_rows
+        assert not self._aborts(name, text, graph, high)
+        while low < high:
+            middle = (low + high) // 2
+            if self._aborts(name, text, graph, middle):
+                low = middle + 1
+            else:
+                high = middle
+        return low
+
     @pytest.mark.parametrize("text", REGEXES)
     def test_equal_relations(self, graph, text):
         postgres = self._conjunct("postgres", text, graph, EvaluationBudget().start())
@@ -205,21 +239,31 @@ class TestPostgresDatalogConjunctParity:
 
     @pytest.mark.parametrize("text", REGEXES)
     def test_same_row_caps_abort(self, graph, text):
-        # D's smallest passing cap, found by bisection, and its neighbours
-        # sit on the boundary; the rest sweeps the orders of magnitude.
-        low, high = 0, EvaluationBudget().max_rows
-        assert not self._aborts("datalog", text, graph, high)
-        while low < high:
-            middle = (low + high) // 2
-            if self._aborts("datalog", text, graph, middle):
-                low = middle + 1
-            else:
-                high = middle
+        # D's smallest passing cap and its neighbours sit on the
+        # boundary; the rest sweeps the orders of magnitude.
+        low = self._smallest_passing_cap("datalog", text, graph)
         caps = {0, 1, 10, 100, 1_000, 10_000, 100_000, max(low - 1, 0), low, low + 1}
         for cap in sorted(caps):
             assert self._aborts("postgres", text, graph, cap) == self._aborts(
                 "datalog", text, graph, cap
             ), (text, cap)
+
+    @pytest.mark.parametrize("text", LONG_PATHS)
+    def test_smallest_passing_cap_is_the_largest_raw_step(self, graph, text):
+        """A path's row charge is each step's raw join size, before
+        deduplication: chaining whole-relation joins over the symbols'
+        relations, the largest raw step is D's smallest passing cap."""
+        first, *rest = parse_regex(text).disjuncts[0].symbols
+        recorder = _RowRecorder()
+        relation = BinaryRelation.from_graph_symbol(graph, first)
+        for symbol in rest:
+            relation = relation.compose(
+                BinaryRelation.from_graph_symbol(graph, symbol), recorder
+            )
+        assert len(recorder.charges) == len(rest) and len(relation) > 0
+        assert self._smallest_passing_cap("datalog", text, graph) == max(
+            recorder.charges
+        )
 
 
 class TestCypherSemantics:

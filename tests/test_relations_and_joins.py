@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.columnar import sorted_unique_keys
 from repro.engine.budget import EvaluationBudget, unlimited
 from repro.engine.joins import greedy_join_order, join_rule, naive_join_order
 from repro.engine.relations import BinaryRelation
 from repro.errors import EngineBudgetExceeded
+from repro.generation.generator import generate_graph
 from repro.queries.parser import parse_query
+from repro.schema.config import GraphConfiguration
+from repro.scenarios import scenario_schema
 
 from oracles.tuples import pairs, rows
 
@@ -56,6 +60,19 @@ class TestBinaryRelation:
         forward = BinaryRelation.from_graph_symbol(bib_graph, "authors")
         backward = BinaryRelation.from_graph_symbol(bib_graph, "authors-")
         assert forward.inverse() == backward
+
+    @pytest.mark.parametrize("scenario", ["bib", "lsn", "sp", "wd"])
+    def test_inverse_adopts_the_backward_index(self, scenario):
+        """An inverse label's key column is the packed backward CSR index:
+        already sorted and unique, equal to re-sorting the swapped
+        columns, and read-only."""
+        configuration = GraphConfiguration(500, scenario_schema(scenario))
+        graph = generate_graph(configuration, seed=3)
+        for label in configuration.schema.alphabet:
+            sources, targets = graph.edge_arrays(label)
+            keys = BinaryRelation.from_graph_symbol(graph, label + "-").key_array
+            assert np.array_equal(keys, sorted_unique_keys(targets, sources)), label
+            assert not keys.flags.writeable
 
 
 class TestJoins:
