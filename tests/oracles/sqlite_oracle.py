@@ -62,13 +62,18 @@ class SqliteOracle:
 
     def count(self, query: Query) -> int:
         """``count(distinct head)`` of ``query``, computed by sqlite."""
-        text = TRANSLATORS["sql"].translate_query(query, count_distinct=True)
+        return self.scalar(
+            TRANSLATORS["sql"].translate_query(query, count_distinct=True)
+        )
+
+    def scalar(self, text: str) -> int:
+        """The single integer a ``SELECT`` returns, under the deadline."""
         self._deadline = time.perf_counter() + TIMEOUT_SECONDS
         try:
-            (count,) = self.connection.execute(text).fetchone()
+            (value,) = self.connection.execute(text).fetchone()
         finally:
             self._deadline = float("inf")
-        return int(count)
+        return int(value)
 
     def edge_count(self, label: str) -> int:
         """Rows loaded for one label (a load sanity probe)."""

@@ -15,7 +15,9 @@ answer (it may answer where the plain cap aborts).
 
 Every whole answer of D is also checked against an independent count:
 the repository's SQL translation run on stdlib ``sqlite3``
-(``oracles/sqlite_oracle.py``).
+(``oracles/sqlite_oracle.py``), and every whole answer of G to a
+star-free text against the edge-isomorphic SQL of
+``oracles/sqlite_iso.py``.
 
 A change that moves a stored answer must say why in ``CHANGES.md``.
 Regenerate the file (after such a change, and only then) with::
@@ -43,6 +45,7 @@ from repro.execution import ExecutionContext, ResourceBudget
 from repro.queries.parser import parse_query
 from repro.scenarios import scenario_schema
 
+from oracles.sqlite_iso import iso_count
 from oracles.sqlite_oracle import SqliteOracle
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "mix_bib2500.json"
@@ -199,6 +202,21 @@ def test_sqlite_agrees_with_d_on_the_fixture(stored, graph):
         for text, expected in whole.items():
             assert oracle.count(parse_query(text)) == expected, text
     assert len(whole) > MIX_SIZE // 2
+
+
+def test_sqlite_iso_agrees_with_g_on_the_fixture(stored, graph):
+    """The edge-isomorphic SQL returns G's count on every star-free text
+    G answers whole."""
+    whole = {
+        entry["text"]: entry["G"]
+        for entry in stored["queries"]
+        if isinstance(entry["G"], int)
+        and not parse_query(entry["text"]).has_recursion
+    }
+    with SqliteOracle(graph) as oracle:
+        for text, expected in whole.items():
+            assert iso_count(oracle, parse_query(text)) == expected, text
+    assert len(whole) > MIX_SIZE // 4
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Differential test: P, S and D against the SQL translation on sqlite.
+"""Differential test: P, S, D and G against SQL on sqlite.
 
 Every stress workload of §6.2 (Len / Dis / Con / Rec, 10 queries per
 selectivity class) is translated by the repository's SQL translator and
@@ -8,6 +8,12 @@ equal that count wherever the engine answers.  P, S and D share their
 columnar kernels with each other but nothing with sqlite's planner or
 its ``WITH RECURSIVE`` working-table recursion, so this is the check
 that still bites when a shared kernel changes.
+
+G matches edge-isomorphically, so its star-free answers are checked
+against a second SQL text over the same database
+(``oracles/sqlite_iso.py``: one join per branch, distinct rowids for
+same-label atoms).  G's starred answers approximate (§7.1) and are not
+checked.
 
 The PR tier runs bib and lsn at 1 000 nodes with one seed; the
 ``nightly`` sweep runs all four scenarios at 2 000 nodes with three.
@@ -19,10 +25,11 @@ import pytest
 
 from repro import GraphConfiguration, count_distinct, generate_graph
 from repro.analysis.experiments import STRESS_WORKLOADS, stress_workload
-from repro.errors import EngineBudgetExceeded
+from repro.errors import EngineBudgetExceeded, EngineCapabilityError
 from repro.execution import ResourceBudget
 from repro.scenarios import scenario_schema
 
+from oracles.sqlite_iso import iso_count
 from oracles.sqlite_oracle import SqliteOracle
 
 ENGINES = ("P", "S", "D")
@@ -57,21 +64,34 @@ def _differential(scenario: str, nodes: int, seed: int) -> int:
                         answers[engine] = count_distinct(query, graph, engine, budget)
                     except EngineBudgetExceeded:
                         continue
-                if not answers:
-                    continue
-                expected = oracle.count(query)
-                for engine, answer in answers.items():
-                    assert answer == expected, (
-                        scenario, seed, family, engine, query.to_text()
-                    )
-                comparisons += len(answers)
+                if answers:
+                    expected = oracle.count(query)
+                    for engine, answer in answers.items():
+                        assert answer == expected, (
+                            scenario, seed, family, engine, query.to_text()
+                        )
+                    comparisons += len(answers)
+                if not query.has_recursion:
+                    comparisons += _isomorphic(oracle, query, graph, nodes)
     return comparisons
+
+
+def _isomorphic(oracle: SqliteOracle, query, graph, nodes: int) -> int:
+    """G's answer against the isomorphic SQL count (1 compared, 0 not)."""
+    budget = ResourceBudget(max_rows=ROWS_PER_NODE * nodes)
+    try:
+        answer = count_distinct(query, graph, "G", budget)
+    except (EngineBudgetExceeded, EngineCapabilityError):
+        return 0
+    assert answer == iso_count(oracle, query), ("G", query.to_text())
+    return 1
 
 
 @pytest.mark.parametrize("scenario", ["bib", "lsn"])
 def test_engines_match_sqlite(scenario):
     comparisons = _differential(scenario, nodes=1_000, seed=1)
-    # 4 families x 30 queries x 3 engines, less the budget aborts.
+    # 4 families x 30 queries x 3 engines (plus G on the star-free
+    # ones), less the budget aborts.
     assert comparisons > 4 * 3 * QUERIES_PER_CLASS * len(ENGINES) // 2
 
 
@@ -80,3 +100,4 @@ def test_engines_match_sqlite(scenario):
 @pytest.mark.parametrize("scenario", ["bib", "lsn", "sp", "wd"])
 def test_engines_match_sqlite_sweep(scenario, seed):
     assert _differential(scenario, nodes=2_000, seed=seed) > 0
+
