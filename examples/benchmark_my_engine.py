@@ -21,7 +21,6 @@ from repro import (
 from repro.analysis.reporting import format_table
 from repro.engine import EvaluationBudget, ResultSet
 from repro.engine.base import Engine, regex_to_relation
-from repro.engine.closure import ClosureRelation
 from repro.engine.evaluator import ENGINES
 from repro.errors import EngineError
 
@@ -50,11 +49,10 @@ class NestedLoopEngine(Engine):
             ]
             rows = [{}]
             for conjunct, relation in zip(rule.body, relations):
-                if isinstance(relation, ClosureRelation):
-                    relation = relation.restrict(None, budget)
-                pairs = list(zip(
-                    relation.source_array.tolist(), relation.target_array.tolist()
-                ))
+                # Every relation, a star's closure included, lists its
+                # pairs through a gather over every node.
+                sources, targets = relation.gather(None, True, budget.check_rows)
+                pairs = list(zip(sources.tolist(), targets.tolist()))
                 next_rows = []
                 for row in rows:
                     budget.check_time()

@@ -17,11 +17,12 @@ everything else is built from:
   matrices (k-ary results, G's head projection) get the same treatment
   with ``np.lexsort`` in place of ``sort()`` (:func:`unique_rows`,
   :func:`rows_in`), not ``np.unique`` with ``axis=0``;
-* CSR-style slicing: because keys sort lexicographically by the first
+* CSR gathers: because keys sort lexicographically by the first
   column, the unpacked ``first`` column is itself sorted, so the pairs
-  of one source are a contiguous slice found by binary search — no
-  explicit ``indptr`` is required for point lookups, and a full
-  ``indptr`` (for degree vectors) is one ``bincount`` + ``cumsum``.
+  of one source are a contiguous slice.  A point lookup finds it by
+  binary search; a batch probe indexes a lazily built ``indptr`` (one
+  ``bincount`` + ``cumsum``) and gathers every row at once
+  (:func:`expand_indptr`) — the one way a pair set is probed.
 
 Node ids must fit in 31 bits (``0 <= id < 2**31``); graphs of up to two
 billion nodes, far beyond what a single in-memory instance can hold.
@@ -180,12 +181,14 @@ def expand_indptr(
     ``payload[indptr[v]:indptr[v + 1]]`` holds the row of node ``v``;
     this expands every row of ``nodes`` in one vectorized pass and
     returns ``(probe_index, values)`` where ``values[i]`` belongs to
-    ``nodes[probe_index[i]]``.  This is the frontier-BFS counterpart of
-    :func:`expand_join` — direct ``indptr`` indexing instead of binary
-    search, for stores that maintain a dense row-pointer array.
+    ``nodes[probe_index[i]]``.  Every relation probe — path steps,
+    frontier levels, join steps, compositions, closure lookups — is
+    this gather over a :class:`PairStore`'s row-pointer array.
 
-    ``check_rows`` is called with the gathered size before the output
-    arrays are materialised (budget hook, as in :func:`expand_join`).
+    ``check_rows`` (typically ``EvaluationBudget.check_rows``) is called
+    with the gathered size — the sum of the probed rows' lengths —
+    before the output arrays are materialised, so a budget stops a
+    runaway join while it is still two ``indptr`` lookups.
     """
     lo = indptr[nodes]
     return expand_ranges(lo, indptr[nodes + 1] - lo, payload, check_rows)
@@ -205,14 +208,18 @@ def expand_ranges(
     ``probe_index[j]`` is the range ``values[j]`` came from.
     ``check_rows`` sees the gathered size before anything is built.
     """
-    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
     if check_rows is not None:
         check_rows(total)
     if total == 0:
         return EMPTY_I64, EMPTY_I64
     probe_index = np.repeat(np.arange(counts.size), counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return probe_index, payload[np.repeat(lo, counts) + offsets]
+    # Output slot j belongs to range i = probe_index[j] and reads
+    # payload[lo[i] + j - (ends[i] - counts[i])].
+    index = np.arange(total)
+    index += (lo - ends + counts)[probe_index]
+    return probe_index, payload[index]
 
 
 def advance_frontier(
@@ -318,38 +325,6 @@ def rows_in(candidates: np.ndarray, existing: np.ndarray) -> np.ndarray:
     found = np.zeros(combined.shape[0], dtype=bool)
     found[order[1:][np.all(rows[1:] == rows[:-1], axis=1)]] = True
     return found[existing.shape[0]:]
-
-
-def expand_join(
-    probe: np.ndarray,
-    build_sorted: np.ndarray,
-    check_rows=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized lookup-join of a probe column against a sorted column.
-
-    Returns ``(counts, probe_index, build_index)`` where row ``i`` of the
-    join output pairs ``probe[probe_index[i]]`` with
-    ``build_sorted[build_index[i]]``; ``counts[j]`` is the number of
-    matches of ``probe[j]``.  This is the sort-merge expansion every
-    composition / join hot path shares.
-
-    ``check_rows`` (typically ``EvaluationBudget.check_rows``) is called
-    with the raw output size *before* the index arrays are materialised,
-    so a budget can stop a runaway join while it is still two
-    searchsorted results rather than an allocation.
-    """
-    lo = np.searchsorted(build_sorted, probe, side="left")
-    hi = np.searchsorted(build_sorted, probe, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if check_rows is not None:
-        check_rows(total)
-    if total == 0:
-        return counts, EMPTY_I64, EMPTY_I64
-    probe_index = np.repeat(np.arange(probe.size), counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    build_index = np.repeat(lo, counts) + offsets
-    return counts, probe_index, build_index
 
 
 class PairStore:
@@ -460,15 +435,18 @@ class PairStore:
 
     def forward_indptr(self) -> np.ndarray:
         if self._fwd_indptr is None:
-            _CSR_BUILDS.inc()
-            FAULTS.hit(_FP_CSR_BUILD)
-            self._fwd_indptr = frozen(indptr_for(self.first, self.domain_size))
+            self._fwd_indptr = self._indptr(self.first)
         return self._fwd_indptr
 
     def backward_indptr(self) -> np.ndarray:
         seconds, _ = self.backward()
         if self._bwd_indptr is None:
-            _CSR_BUILDS.inc()
-            FAULTS.hit(_FP_CSR_BUILD)
-            self._bwd_indptr = frozen(indptr_for(seconds, self.domain_size))
+            self._bwd_indptr = self._indptr(seconds)
         return self._bwd_indptr
+
+    def _indptr(self, sorted_column: np.ndarray) -> np.ndarray:
+        if self.domain_size is None:
+            raise ValueError("a CSR index needs the store's domain_size")
+        _CSR_BUILDS.inc()
+        FAULTS.hit(_FP_CSR_BUILD)
+        return frozen(indptr_for(sorted_column, self.domain_size))

@@ -3,7 +3,7 @@
 Bottom-up evaluation: every conjunct regex is materialised as a binary
 relation (paths by the CSR path step P shares, stars as an SCC-compressed
 closure built one condensation-DAG level at a time), then the rule body
-is joined by CSR gathers and sort-merge lookups.  The compressed closure
+is joined by CSR gathers and membership filters.  The compressed closure
 is why D is the only system that completes the recursive workload in
 Table 4 — and why its constant/linear/quadratic times blur together in
 Fig. 12 (it always pays full materialisation).

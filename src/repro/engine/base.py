@@ -180,23 +180,24 @@ def disjunction_relation(
     before building it; ε is the identity over every graph node.  The
     star, if any, is the caller's.
     """
+    n = cache.graph.n
     combined: BinaryRelation | None = None
     for path in regex.disjuncts:
         if path.is_epsilon:
-            path_relation = BinaryRelation.identity(range(cache.graph.n))
+            path_relation = BinaryRelation.identity(range(n))
         else:
             path_relation = cache.relation(path.symbols[0])
             for symbol in path.symbols[1:]:
                 csr = cache.get(symbol)
                 if csr is None:  # a symbol with no edges ends the path
-                    path_relation = BinaryRelation()
+                    path_relation = BinaryRelation(n)
                     break
                 probe, values = expand_indptr(
                     path_relation.target_array, *csr, budget.check_rows
                 )
                 budget.check_time()
                 path_relation = BinaryRelation.from_keys(
-                    sorted_unique_keys(path_relation.source_array[probe], values)
+                    sorted_unique_keys(path_relation.source_array[probe], values), n
                 )
         combined = path_relation if combined is None else combined.union(path_relation)
         budget.check_time()

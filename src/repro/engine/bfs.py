@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro.engine.automaton import build_nfa
 from repro.engine.base import Engine, register_engine
-from repro.engine.frontier import SymbolCSRCache, frontier_regex_relation
+from repro.engine.frontier import frontier_regex_relation
 
 
 @register_engine
@@ -33,9 +33,6 @@ class SparqlLikeEngine(Engine):
 
     name = "sparql"
     paper_system = "S"
-    # One CSR resolution per evaluation: conjuncts sharing symbols
-    # reuse the same (indptr, payload) views.
-    conjunct_cache = SymbolCSRCache
 
     def conjunct_relation(self, regex, graph, budget, cache):
         return frontier_regex_relation(build_nfa(regex), graph, budget, cache)

@@ -9,18 +9,17 @@ semi-naive fixpoint of a Datalog engine — and answer pair queries
 through the component maps.  Because gMark regular
 expressions only allow Kleene star at the *outermost* level, a closure
 is never composed further — it flows straight into the conjunct join,
-which it faces through two array methods: :meth:`contains_many` (a
-both-bound filter answered from the component-level reach keys) and
-:meth:`restrict` (the part of ``R*`` a binding table can reach,
-materialised as an ordinary packed-key relation).
+which probes it exactly as it probes a :class:`BinaryRelation`:
+:meth:`~ClosureRelation.contains_many` (a both-bound filter answered
+from the component-level reach keys) and :meth:`~ClosureRelation.gather`
+(every partner of each bound row, gathered component by component
+through the reach's forward or backward CSR and then the member CSR).
 
 This mirrors how mature Datalog engines survive the paper's recursive
 workload (Table 4) while the naive SQL:1999 fixpoint drowns.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -29,12 +28,10 @@ from scipy.sparse.csgraph import connected_components
 from repro.columnar import (
     EMPTY_I64,
     expand_indptr,
-    expand_join,
     expand_ranges,
     indptr_for,
     keys_contain_many,
     pack_pairs,
-    sorted_unique,
     sorted_unique_keys,
     unpack_keys,
 )
@@ -81,16 +78,16 @@ class ClosureRelation:
         target_components = self._labels[targets]
         cross = source_components != target_components
         dag = BinaryRelation.from_arrays(
-            source_components[cross], target_components[cross]
+            source_components[cross], target_components[cross], component_count
         )
         budget.check_time()
 
         #: Component-level reachability (includes self) as a packed-key
         #: relation over component ids — the only reach representation:
-        #: membership is one binary search, the inverse one re-sort.
+        #: membership is one binary search, a probe one gather through
+        #: its forward or backward CSR.
         self._reach = _component_reach(dag, component_count, budget)
         self._size: int | None = None
-        self._inverse: ClosureRelation | None = None
 
     # -- relation API -----------------------------------------------------
 
@@ -118,47 +115,28 @@ class ClosureRelation:
         probes = pack_pairs(self._labels[sources], self._labels[targets])
         return keys_contain_many(self._reach.key_array, probes)
 
-    def restrict(
-        self, sources: np.ndarray | None, budget: EvaluationBudget
-    ) -> BinaryRelation:
-        """``{(s, t) ∈ R* | s ∈ sources}`` materialised (None: every node).
+    def gather(
+        self, values: np.ndarray | None, forward: bool, check_rows=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every ``R*`` partner of each value: ``(probe_index, partners)``.
 
-        Two batch CSR gathers — distinct source → reachable components
-        → their members — each charged to the budget *before* its
-        columns are built.  The conjunct join only asks for the distinct
-        bound values of its table, each of which owns at least one row,
-        so the restriction never exceeds the extension it feeds.
+        :meth:`BinaryRelation.gather`'s contract (``None`` probes every
+        node), answered at component level: each value's component
+        gathers its reached components through the reach's forward CSR
+        (``forward``) or backward CSR, and each of those gathers its
+        members.  ``check_rows`` sees the (value, component) pairs, then
+        the final size — never more than the final size — before each
+        gather builds.
         """
-        if sources is None:
-            distinct = np.arange(self.node_count, dtype=np.int64)
-        else:
-            distinct = sorted_unique(sources)
-            distinct = distinct[distinct < self.node_count]
-        budget.check_time()
-        _, source_index, reach_index = expand_join(
-            self._labels[distinct], self._reach.source_array, budget.check_rows
+        if values is None:
+            values = np.arange(self.node_count, dtype=np.int64)
+        row, components = self._reach.gather(
+            self._labels[values], forward, check_rows
         )
-        member_index, members = expand_indptr(
-            self._reach.target_array[reach_index],
-            self._member_indptr,
-            self._member_order,
-            budget.check_rows,
+        member, partners = expand_indptr(
+            components, self._member_indptr, self._member_order, check_rows
         )
-        return BinaryRelation.from_arrays(
-            distinct[source_index[member_index]], members
-        )
-
-    def inverse(self, budget: EvaluationBudget | None = None) -> "ClosureRelation":
-        """Closure of the reversed base: the transposed component reach."""
-        if self._inverse is None:
-            if budget is not None:
-                budget.check_time()
-                budget.check_bytes(self._reach.nbytes)
-            inverse = copy.copy(self)
-            inverse._reach = self._reach.inverse()
-            inverse._inverse = self
-            self._inverse = inverse
-        return self._inverse
+        return row[member], partners
 
     def __repr__(self) -> str:
         return (
@@ -175,18 +153,15 @@ def _component_reach(
     ``Reach = I ∪ E ∘ Reach`` bottom-up, in reverse topological order:
     the DAG is peeled from its sinks, and a component joins a level once
     every successor is finished.  A level is one batch step on the
-    columnar kernels — gather the successors' finished reach rows
-    (:func:`expand_indptr` over the forward CSR, then
+    columnar kernels — gather the successors' finished reach rows (a
+    forward :meth:`~BinaryRelation.gather` over the DAG, then
     :func:`expand_ranges` over the reach buffer), add ``(c, c)``,
     deduplicate the packed keys, append the rows to one growing buffer —
     so a level costs its edges plus the rows it gathers, never the
-    component count.  The backward CSR counts down each parent's
+    component count.  A backward gather counts down each parent's
     unfinished successors.  ``check_time`` is polled once per level.
     """
-    forward = indptr_for(dag.source_array, component_count)
-    sorted_targets, predecessors = dag.backward_arrays()
-    backward = indptr_for(sorted_targets, component_count)
-    pending = np.diff(forward)  # unfinished successors per component
+    pending = np.bincount(dag.source_array, minlength=component_count)
     start = np.zeros(component_count, dtype=np.int64)
     count = np.zeros(component_count, dtype=np.int64)
     reach = np.empty(component_count, dtype=np.int64)  # every c reaches c
@@ -194,7 +169,7 @@ def _component_reach(
     level = np.flatnonzero(pending == 0)
     while level.size:
         budget.check_time()
-        owner, successors = expand_indptr(level, forward, dag.target_array)
+        owner, successors = dag.gather(level, True)
         row, reached = expand_ranges(start[successors], count[successors], reach)
         keys = sorted_unique_keys(
             np.concatenate((level, level[owner[row]])),
@@ -209,10 +184,10 @@ def _component_reach(
             reach = np.resize(reach, max(2 * reach.size, end))
         reach[used:end] = targets
         used = end
-        _, parents = expand_indptr(level, backward, predecessors)
+        _, parents = dag.gather(level, False)
         level = _finished(parents, pending)
     components, targets = expand_ranges(start, count, reach)
-    return BinaryRelation.from_keys(pack_pairs(components, targets))
+    return BinaryRelation.from_keys(pack_pairs(components, targets), component_count)
 
 
 def _runs(sorted_column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -103,14 +103,14 @@ def frontier_regex_relation(
     Matches the per-source BFS oracle
     (``tests/oracles/reference_bfs.py``) pair for pair.  The budget is
     charged twice over: each raw gather size *before* its arrays are
-    materialised (the :func:`repro.columnar.expand_join` convention — a
-    runaway level stops as two searchsorted results), and the
+    materialised (the :func:`repro.columnar.expand_indptr` convention —
+    a runaway level stops as two ``indptr`` lookups), and the
     cumulative count of visited product pairs per level, which is what
     the oracle charges for its ``visited`` sets.
     """
     n = graph.n
     if n == 0:
-        return BinaryRelation()
+        return BinaryRelation(0)
     ids = np.arange(n, dtype=np.int64)
     identity = pack_pairs(ids, ids)
     # Per NFA state: visited = sorted unique (source, node) key column,
@@ -187,7 +187,7 @@ def frontier_regex_relation(
                 visited_pairs=total_pairs,
                 result_pairs=int(accept_keys.size),
             )
-    return BinaryRelation.from_keys(accept_keys)
+    return BinaryRelation.from_keys(accept_keys, n)
 
 
 def frontier_reachable_pairs(
@@ -202,8 +202,8 @@ def frontier_reachable_pairs(
     seed starts at itself (the identity slice of the closure), and each
     level costs one CSR gather per symbol for the *whole* frontier
     relation.  This is what the binding-table join consumes for
-    variable-length steps with a bound endpoint — the result's sorted
-    source column joins against the table with one ``searchsorted``.
+    variable-length steps with a bound endpoint — the keys become a
+    relation whose forward CSR the table's rows gather through.
     """
     seeds = sorted_unique(seeds)
     if seeds.size == 0:

@@ -22,8 +22,9 @@ sorted-key kernels —
 * ``searchsorted`` semi-joins (:func:`repro.columnar.keys_contain_many`)
   for both-bound filters,
 * the frontier sweep's pair relation
-  (:func:`repro.engine.frontier.frontier_reachable_pairs`) joined
-  columnar for variable-length steps, and
+  (:func:`repro.engine.frontier.frontier_reachable_pairs`) for
+  variable-length steps, which the table's rows gather through
+  (:meth:`repro.engine.relations.BinaryRelation.gather`), and
 * vectorized duplicate-edge masking (the new edge-key column compared
   against every same-label edge column at once) replacing the seed's
   per-match ``used_edges`` frozenset.
@@ -47,22 +48,21 @@ import numpy as np
 
 from repro.columnar import (
     expand_indptr,
-    expand_join,
     keys_contain_many,
     pack_pairs,
     sorted_unique,
     unique_rows,
-    unpack_keys,
 )
 from repro.engine.automaton import NFA
 from repro.engine.base import Engine, register_engine
 from repro.engine.budget import EvaluationBudget
-from repro.engine.resultset import ResultSet
 from repro.engine.frontier import (
     SymbolCSRCache,
     frontier_reachable_pairs,
     frontier_regex_relation,
 )
+from repro.engine.relations import BinaryRelation
+from repro.engine.resultset import ResultSet
 from repro.errors import EngineBudgetExceeded, EngineCapabilityError
 from repro.execution.degrade import run_in_slices
 from repro.generation.graph import LabeledGraph
@@ -183,34 +183,18 @@ def _expand_branches(rule: QueryRule) -> list[list[_Step]]:
 
 
 class _EvalContext:
-    """Per-evaluation caches: CSR indexes, key columns, edge counts.
+    """One evaluation's graph, budget and symbol cache (the engine's
+    ``conjunct_cache``): every branch of every rule probes the same
+    per-label CSR indexes, resolved once per evaluation."""
 
-    Every branch of every rule probes the same per-label columns, so
-    one resolution per evaluation keeps the comparison about strategy.
-    """
+    __slots__ = ("graph", "budget", "csr")
 
-    __slots__ = ("graph", "budget", "csr", "_keys", "_counts")
-
-    def __init__(self, graph: LabeledGraph, budget: EvaluationBudget):
+    def __init__(
+        self, graph: LabeledGraph, budget: EvaluationBudget, csr: SymbolCSRCache
+    ):
         self.graph = graph
         self.budget = budget
-        self.csr = SymbolCSRCache(graph)
-        self._keys: dict[str, np.ndarray] = {}
-        self._counts: dict[str, int] = {}
-
-    def label_keys(self, label: str) -> np.ndarray:
-        """Sorted packed (source, target) key column of one label."""
-        keys = self._keys.get(label)
-        if keys is None:
-            keys = self._keys[label] = self.graph.edge_keys(label)
-        return keys
-
-    def label_count(self, label: str) -> int:
-        """Edge count of one label (the order heuristic's cardinality)."""
-        count = self._counts.get(label)
-        if count is None:
-            count = self._counts[label] = int(self.label_keys(label).size)
-        return count
+        self.csr = csr
 
 
 # -- selectivity-driven step order --------------------------------------
@@ -254,7 +238,7 @@ def _order_steps(
         src_bound = step.source in bound
         trg_bound = step.target in bound
         if isinstance(step, _EdgeStep):
-            edges = ctx.label_count(symbol_base(step.symbol))
+            edges = ctx.graph.edge_keys(symbol_base(step.symbol)).size
             if (src_bound and trg_bound) or (
                 step.source == step.target and src_bound
             ):
@@ -262,7 +246,7 @@ def _order_steps(
             if src_bound or trg_bound:
                 return (1, edges / n)
             return (2, float(edges))
-        edges = sum(ctx.label_count(label) for label in step.labels)
+        edges = sum(ctx.graph.edge_keys(label).size for label in step.labels)
         if not step.labels:
             # ε: equality filter / column copy / node-domain product.
             if (src_bound and trg_bound) or (
@@ -390,7 +374,7 @@ def _extend_edge_step(
         if a_pos is not None:
             values = table[:, a_pos]
             mask = keys_contain_many(
-                ctx.label_keys(label), pack_pairs(values, values)
+                ctx.graph.edge_keys(label), pack_pairs(values, values)
             )
             bt.rows = table[mask]
         else:
@@ -402,7 +386,7 @@ def _extend_edge_step(
         a_pos = b_pos = bt.var_pos[a_var]
     elif a_pos is not None and b_pos is not None:
         probe = pack_pairs(table[:, a_pos], table[:, b_pos])
-        bt.rows = table[keys_contain_many(ctx.label_keys(label), probe)]
+        bt.rows = table[keys_contain_many(ctx.graph.edge_keys(label), probe)]
     elif a_pos is not None:
         entry = ctx.csr.get(label)
         if entry is None:
@@ -462,9 +446,10 @@ def _extend_var_step(
     """Extend the binding table by one variable-length (>= 0 hop) step.
 
     Bound endpoints seed a pair-relation frontier sweep
-    (:func:`frontier_reachable_pairs`) whose sorted output is joined
-    against the table columnar; the both-unbound case runs the full
-    one-state product sweep once and takes a Cartesian product.
+    (:func:`frontier_reachable_pairs`) whose keys the table's rows
+    gather through (or filter against, when both ends are bound); the
+    both-unbound case runs the full one-state product sweep once and
+    takes a Cartesian product.
     Variable-length steps never consume edge identities (matching the
     seed semantics), so no edge column is appended.
     """
@@ -511,27 +496,21 @@ def _extend_var_step(
         keys = frontier_reachable_pairs(seeds, step.labels, csr, budget)
         probe = pack_pairs(table[:, src_pos], table[:, trg_pos])
         bt.rows = table[keys_contain_many(keys, probe)]
-    elif src_pos is not None:
-        seeds = sorted_unique(table[:, src_pos])
-        keys = frontier_reachable_pairs(seeds, step.labels, csr, budget)
-        sources, targets = unpack_keys(keys)
-        _, probe_index, build_index = expand_join(
-            table[:, src_pos], sources, budget.check_rows
+    elif src_pos is not None or trg_pos is not None:
+        # Sweep from the bound end (backwards through inverse labels
+        # from a bound target); the rows gather their reached nodes.
+        if src_pos is not None:
+            pos, labels, var = src_pos, step.labels, step.target
+        else:
+            pos, var = trg_pos, step.source
+            labels = tuple(inverse_symbol(label) for label in step.labels)
+        keys = frontier_reachable_pairs(
+            sorted_unique(table[:, pos]), labels, csr, budget
         )
-        bt.append_column(
-            step.target, targets[build_index], table[probe_index]
+        probe_index, values = BinaryRelation.from_keys(keys, graph.n).gather(
+            table[:, pos], True, budget.check_rows
         )
-    elif trg_pos is not None:
-        inverse_labels = tuple(inverse_symbol(label) for label in step.labels)
-        seeds = sorted_unique(table[:, trg_pos])
-        keys = frontier_reachable_pairs(seeds, inverse_labels, csr, budget)
-        targets, sources = unpack_keys(keys)
-        _, probe_index, build_index = expand_join(
-            table[:, trg_pos], targets, budget.check_rows
-        )
-        bt.append_column(
-            step.source, sources[build_index], table[probe_index]
-        )
+        bt.append_column(var, values, table[probe_index])
     else:
         relation = frontier_regex_relation(
             _star_nfa(step.labels), graph, budget, csr
@@ -565,7 +544,7 @@ class CypherLikeEngine(Engine):
         graph: LabeledGraph,
         budget: EvaluationBudget,
     ) -> ResultSet:
-        ctx = _EvalContext(graph, budget)
+        ctx = _EvalContext(graph, budget, self.conjunct_cache(graph))
         arity = query.rules[0].arity
         tables: list[np.ndarray] = []
         for rule in query.rules:

@@ -8,17 +8,17 @@ left-deep order is kept for the join-planning ablation bench.
 
 The binding table lives as a unique-row ``int64`` matrix (one column
 per bound variable) for the whole join and is extended one conjunct at
-a time by **one** kernel: a vectorized sort-merge probe of the
-relation's packed-key columns (``np.searchsorted`` + ``np.repeat``
-expansion) over the whole table at once.  The SCC-compressed
-:class:`~repro.engine.closure.ClosureRelation`, which deliberately
-avoids materialising its pair set, reaches that kernel through its two
-array methods: a both-bound step is a component-level membership
-filter, and every other step first restricts the closure to the
-table's distinct bound values — an ordinary relation no larger than
-the extension it feeds.  Rows stay unique by construction — every
-extension either filters rows or appends distinct values per row — so
-no intermediate deduplication is needed.  The head projection is handed
+a time through the two probes every relation answers — a
+:class:`~repro.engine.relations.BinaryRelation` and the SCC-compressed
+:class:`~repro.engine.closure.ClosureRelation` alike, so the driver
+never asks which it holds: a both-bound step filters the table with
+``contains_many``, a one-bound step gathers each row's partners through
+the relation's CSR (``gather``, one
+:func:`~repro.columnar.expand_indptr` over the whole table), and an
+unbound step takes the product with the relation's full gather.  Rows
+stay unique by construction — every extension either filters rows or
+appends distinct values per row — so no intermediate deduplication is
+needed.  The head projection is handed
 to :class:`~repro.engine.resultset.ResultSet` as column groups: no
 Python tuple is ever built on the evaluation path.
 """
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.columnar import expand_join, keys_contain_many, pack_pairs
 from repro.engine.budget import EvaluationBudget, unlimited
 from repro.engine.closure import ClosureRelation
 from repro.engine.relations import BinaryRelation
@@ -71,51 +70,6 @@ def naive_join_order(rule: QueryRule, relations: list[BinaryRelation]) -> list[i
     return list(range(len(rule.body)))
 
 
-def _extend_vectorized(
-    table: np.ndarray,
-    relation: BinaryRelation,
-    src_pos: int | None,
-    trg_pos: int | None,
-    self_loop: bool,
-    budget: EvaluationBudget,
-) -> np.ndarray:
-    """One conjunct extension over the whole binding table at once."""
-    if src_pos is None and trg_pos is None:
-        if self_loop:
-            loop_mask = relation.source_array == relation.target_array
-            loops = relation.source_array[loop_mask]
-            budget.check_rows(table.shape[0] * loops.size)
-            repeated = np.repeat(table, loops.size, axis=0)
-            column = np.tile(loops, table.shape[0])
-            return np.column_stack((repeated, column))
-        pair_count = len(relation)
-        budget.check_rows(table.shape[0] * pair_count)
-        repeated = np.repeat(table, pair_count, axis=0)
-        src_col = np.tile(relation.source_array, table.shape[0])
-        trg_col = np.tile(relation.target_array, table.shape[0])
-        return np.column_stack((repeated, src_col, trg_col))
-
-    if src_pos is not None and (trg_pos is not None or self_loop):
-        effective_trg = src_pos if self_loop else trg_pos
-        probe_keys = pack_pairs(table[:, src_pos], table[:, effective_trg])
-        mask = keys_contain_many(relation.key_array, probe_keys)
-        return table[mask]
-
-    if src_pos is not None:
-        probe = table[:, src_pos]
-        build_sorted = relation.source_array
-        gather = relation.target_array
-    else:
-        probe = table[:, trg_pos]
-        build_sorted, gather = relation.backward_arrays()
-    _, probe_index, build_index = expand_join(
-        probe, build_sorted, budget.check_rows
-    )
-    if probe_index.size == 0:
-        return np.zeros((0, table.shape[1] + 1), dtype=np.int64)
-    return np.column_stack((table[probe_index], gather[build_index]))
-
-
 def _plan_steps(
     rule: QueryRule, order: list[int]
 ) -> tuple[list[tuple[int, int | None, int | None, bool]], list[str]]:
@@ -149,27 +103,29 @@ def _extend_step(
     self_loop: bool,
     budget: EvaluationBudget,
 ) -> np.ndarray:
-    """One extension; a closure is first filtered by, or restricted to,
-    what the table binds."""
-    if isinstance(relation, ClosureRelation):
-        if self_loop:
-            # R* is reflexive: its loops are the identity.
-            relation = BinaryRelation.identity(range(relation.node_count))
-        elif src_pos is not None and trg_pos is not None:
-            return table[
-                relation.contains_many(table[:, src_pos], table[:, trg_pos])
-            ]
-        else:
-            if src_pos is None and trg_pos is not None:
-                # Bound target: expand the inverse closure from it; the
-                # new (source) column lands last either way.
-                relation, src_pos, trg_pos = relation.inverse(budget), trg_pos, None
-            relation = relation.restrict(
-                None if src_pos is None else table[:, src_pos], budget
-            )
-    return _extend_vectorized(
-        table, relation, src_pos, trg_pos, self_loop, budget
-    )
+    """One conjunct extension over the whole binding table at once."""
+    if self_loop:
+        trg_pos = src_pos
+    if src_pos is not None and trg_pos is not None:
+        return table[relation.contains_many(table[:, src_pos], table[:, trg_pos])]
+    if src_pos is not None or trg_pos is not None:
+        forward = src_pos is not None
+        probe_index, values = relation.gather(
+            table[:, src_pos if forward else trg_pos], forward, budget.check_rows
+        )
+        return np.column_stack((table[probe_index], values))
+    if self_loop:
+        ids = np.arange(relation.node_count, dtype=np.int64)
+        columns = (ids[relation.contains_many(ids, ids)],)
+        budget.check_rows(table.shape[0] * columns[0].size)
+    else:
+        # The product's size is known before the full gather builds it;
+        # gathering every node, the probe index is the source column.
+        budget.check_rows(table.shape[0] * len(relation))
+        columns = relation.gather(None, True)
+    repeated = np.repeat(table, columns[0].size, axis=0)
+    tiled = [np.tile(column, table.shape[0]) for column in columns]
+    return np.column_stack((repeated, *tiled))
 
 
 def _join_from(

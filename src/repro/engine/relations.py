@@ -5,14 +5,20 @@ stored **columnar**: one :class:`~repro.columnar.PairStore` (a sorted,
 deduplicated ``int64`` key column), exactly the physical layout of the
 graph's per-label CSR stores — :meth:`BinaryRelation.from_graph_symbol`
 adopts a label's key column zero-copy, and an inverse label's packed
-backward index without re-sorting.  Union and inverse are sorted-set
-algebra (``merge_keys``, ``sorted_unique_keys``).  Paths extend through
-the graph's CSR (:func:`repro.engine.base.extend_path`); :meth:`~
-BinaryRelation.compose`, a sort-merge ``np.searchsorted`` join of two
-relations, serves P's star fixpoint only.  Join sizes are charged
-against the budget *before* the output arrays are materialised, so
-runaway joins surface as :class:`~repro.errors.EngineBudgetExceeded`.
-D's stars are the closure's business (:mod:`repro.engine.closure`).
+backward index without re-sorting.  Union is sorted-set algebra
+(``merge_keys``).  A relation carries its node domain, so its store
+builds a forward / backward CSR on first use, and it is probed two
+ways only: :meth:`~BinaryRelation.gather` (every partner of a value
+column, one :func:`~repro.columnar.expand_indptr`) and
+:meth:`~BinaryRelation.contains_many` (a pair-membership filter).  The
+conjunct join, :meth:`~BinaryRelation.compose` (P's star fixpoint) and
+G's variable-length steps all probe through them; paths extend through
+the graph's own CSR (:func:`repro.engine.base.disjunction_relation`).
+Gather sizes are charged against the budget *before* the output arrays
+are materialised, so runaway joins surface as
+:class:`~repro.errors.EngineBudgetExceeded`.  D's stars are the
+closure's business (:mod:`repro.engine.closure`), which answers the
+same two probes.
 
 Relations are built from columns (:meth:`BinaryRelation.from_arrays`,
 :meth:`~BinaryRelation.from_keys`) and read as columns
@@ -31,8 +37,9 @@ from repro.columnar import (
     PairStore,
     as_id_array,
     dedup_sorted,
-    expand_join,
+    expand_indptr,
     frozen,
+    keys_contain_many,
     merge_keys,
     pack_pairs,
     sorted_unique,
@@ -46,19 +53,24 @@ from repro.queries.ast import is_inverse
 class BinaryRelation:
     """An immutable set of integer pairs with columnar two-way indexes.
 
-    ``BinaryRelation()`` is the empty relation; every other relation
-    comes from a ``from_*`` constructor.
+    ``BinaryRelation(n)`` is the empty relation over ``n`` nodes; every
+    other relation comes from a ``from_*`` constructor.  The node domain
+    ``[0, node_count)`` sizes the lazy CSR that :meth:`gather` probes; a
+    relation built without one can be read and combined but not
+    gathered from.
     """
 
     __slots__ = ("_store",)
 
-    def __init__(self):
-        self._store = PairStore()
+    def __init__(self, domain_size: int | None = None):
+        self._store = PairStore(domain_size)
 
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_keys(cls, keys: np.ndarray) -> "BinaryRelation":
+    def from_keys(
+        cls, keys: np.ndarray, domain_size: int | None = None
+    ) -> "BinaryRelation":
         """Adopt a sorted unique packed key column zero-copy.
 
         The packed-key fast path: frontier sweeps and closure kernels
@@ -66,16 +78,18 @@ class BinaryRelation:
         without unpacking.
         """
         relation = cls.__new__(cls)
-        relation._store = PairStore.from_keys(keys)
+        relation._store = PairStore.from_keys(keys, domain_size)
         return relation
 
     @classmethod
-    def from_arrays(cls, sources, targets) -> "BinaryRelation":
+    def from_arrays(
+        cls, sources, targets, domain_size: int | None = None
+    ) -> "BinaryRelation":
         """Build from parallel endpoint columns (deduplicates)."""
         sources = as_id_array(sources)
         if sources.size == 0:
-            return cls()
-        return cls.from_keys(sorted_unique_keys(sources, targets))
+            return cls(domain_size)
+        return cls.from_keys(sorted_unique_keys(sources, targets), domain_size)
 
     @classmethod
     def from_graph_symbol(cls, graph: LabeledGraph, symbol: str) -> "BinaryRelation":
@@ -87,17 +101,20 @@ class BinaryRelation:
         ``(target, source)`` keys are already sorted and unique.
         """
         if not is_inverse(symbol):
-            return cls.from_keys(graph.edge_keys(symbol))
+            return cls.from_keys(graph.edge_keys(symbol), graph.n)
         csr = graph.csr_arrays(symbol)
         if csr is None:
-            return cls()
+            return cls(graph.n)
         indptr, sources = csr
         targets = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-        return cls.from_keys(pack_pairs(targets, sources))
+        return cls.from_keys(pack_pairs(targets, sources), graph.n)
 
     @classmethod
     def identity(cls, nodes: Iterable[int]) -> "BinaryRelation":
-        """The ε relation: every node related to itself."""
+        """The ε relation: every node related to itself.
+
+        Its domain ends at the largest node (``range(n)`` gives ``n``).
+        """
         if isinstance(nodes, range):
             ids = np.arange(nodes.start, nodes.stop, nodes.step, dtype=np.int64)
             ids = np.sort(ids)
@@ -105,7 +122,7 @@ class BinaryRelation:
             ids = sorted_unique(list(nodes))
         if ids.size == 0:
             return cls()
-        return cls.from_keys(pack_pairs(ids, ids))
+        return cls.from_keys(pack_pairs(ids, ids), int(ids[-1]) + 1)
 
     # -- columnar views ---------------------------------------------------
 
@@ -124,12 +141,40 @@ class BinaryRelation:
         """Packed sorted (source, target) keys (read-only)."""
         return self._store.keys
 
-    def backward_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sorted targets, sources in that order): the inverse index.
+    @property
+    def node_count(self) -> int | None:
+        """Size of the node domain the ids lie in (None: not given)."""
+        return self._store.domain_size
 
-        Read-only columns for join probes against the target side.
+    # -- probes -----------------------------------------------------------
+
+    def gather(
+        self, values: np.ndarray | None, forward: bool, check_rows=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every partner of each value: ``(probe_index, partners)``.
+
+        ``forward`` reads ``values`` as sources and returns their
+        targets; otherwise as targets, returning their sources.  One
+        :func:`~repro.columnar.expand_indptr` over the store's lazy
+        forward / backward CSR; ``check_rows`` sees the gathered size
+        before anything is built.  Values must lie in the node domain;
+        ``None`` probes every node in order, so the probe index is the
+        node id — here the relation's own (read-only) columns.
         """
-        return self._store.backward()
+        store = self._store
+        if values is None:
+            if check_rows is not None:
+                check_rows(len(store))
+            return (store.first, store.second) if forward else store.backward()
+        if forward:
+            indptr, payload = store.forward_indptr(), store.second
+        else:
+            indptr, payload = store.backward_indptr(), store.backward()[1]
+        return expand_indptr(values, indptr, payload, check_rows)
+
+    def contains_many(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Membership mask of parallel (source, target) id columns."""
+        return keys_contain_many(self.key_array, pack_pairs(sources, targets))
 
     # -- inspection -------------------------------------------------------
 
@@ -156,38 +201,30 @@ class BinaryRelation:
     # -- algebra ----------------------------------------------------------
 
     def union(self, other: "BinaryRelation") -> "BinaryRelation":
+        domain = self.node_count if other.node_count is None else other.node_count
         return BinaryRelation.from_keys(
-            merge_keys(self.key_array, other.key_array)
-        )
-
-    def inverse(self) -> "BinaryRelation":
-        if self.key_array.size == 0:
-            return BinaryRelation()
-        return BinaryRelation.from_keys(
-            sorted_unique_keys(self.target_array, self.source_array)
+            merge_keys(self.key_array, other.key_array), domain
         )
 
     def compose(
         self, other: "BinaryRelation", budget: EvaluationBudget | None = None
     ) -> "BinaryRelation":
-        """``{(a, c) | (a, b) ∈ self, (b, c) ∈ other}`` (sort-merge join).
+        """``{(a, c) | (a, b) ∈ self, (b, c) ∈ other}``.
 
         P's star fixpoint joins its accumulated relation with the base
-        through this.  The probe side is this relation's target column,
-        the build side the other's sorted source column; the raw join
-        size is charged against the budget *before* materialisation.
+        through this: this relation's target column gathers through the
+        other's forward CSR, and the raw join size is charged against
+        the budget *before* materialisation.
         """
         budget = budget or unlimited()
         if len(self) == 0 or len(other) == 0:
-            return BinaryRelation()
-        _, probe_index, build_index = expand_join(
-            self.target_array, other.source_array, budget.check_rows
+            return BinaryRelation(self.node_count)
+        probe_index, targets = other.gather(
+            self.target_array, True, budget.check_rows
         )
         budget.check_time()
-        if probe_index.size == 0:
-            return BinaryRelation()
         return BinaryRelation.from_arrays(
-            self.source_array[probe_index], other.target_array[build_index]
+            self.source_array[probe_index], targets, self.node_count
         )
 
     def __repr__(self) -> str:

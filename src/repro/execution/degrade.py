@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.columnar import (
     EMPTY_I64,
-    expand_indptr,
     expand_ranges,
     merge_keys,
     pack_pairs,
@@ -110,8 +109,8 @@ def gather_pair_keys(
     merged = EMPTY_I64
     chunks = 0
     for start, stop in row_slices(counts, plan):
-        probe_index, successors = expand_indptr(
-            nodes[start:stop], indptr, payload
+        probe_index, successors = expand_ranges(
+            lo[start:stop], counts[start:stop], payload
         )
         chunks += 1
         if successors.size == 0:

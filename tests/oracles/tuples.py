@@ -1,7 +1,8 @@
 """Tuple views of columnar objects, for test assertions only."""
 
-from repro.engine.budget import unlimited
-from repro.engine.closure import ClosureRelation
+import numpy as np
+
+from repro.engine.relations import BinaryRelation
 from repro.generation.graph import LabeledGraph
 
 
@@ -11,10 +12,25 @@ def rows(result) -> set[tuple[int, ...]]:
     return set(zip(*columns)) if columns else set([()] * len(result))
 
 
+def materialised(relation, forward=True, values=None) -> BinaryRelation:
+    """The pairs a relation's gather yields, as a ``BinaryRelation``.
+
+    ``(v, partner)`` for every probe value ``v`` (None: the whole node
+    domain): the relation itself read forward, its inverse read
+    backward.  A closure's pair set is only reachable this way.
+    """
+    probe_index, partners = relation.gather(values, forward)
+    if values is None:
+        values = np.arange(relation.node_count, dtype=np.int64)
+    return BinaryRelation.from_arrays(
+        values[probe_index], partners, relation.node_count
+    )
+
+
 def pairs(relation) -> set[tuple[int, int]]:
     """The (source, target) pairs of a binary or closure relation."""
-    if isinstance(relation, ClosureRelation):
-        relation = relation.restrict(None, unlimited())
+    if not isinstance(relation, BinaryRelation):
+        relation = materialised(relation)
     return set(zip(relation.source_array.tolist(), relation.target_array.tolist()))
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.budget import EvaluationBudget, unlimited
+from repro.engine.budget import EvaluationBudget
 from repro.engine.closure import ClosureRelation
 from repro.engine.relations import BinaryRelation
 from repro.engine.resultset import ResultSet
@@ -19,13 +19,14 @@ from repro.errors import EngineBudgetExceeded, ExecutionCancelled
 from repro.execution import CancellationToken, ResourceBudget
 
 from oracles.reference_closure import transitive_closure
-from oracles.tuples import pairs, rows
+from oracles.tuples import materialised, pairs, rows
 
 
-def relation_of(edges) -> BinaryRelation:
-    """The relation of an iterable of (source, target) tuples."""
+def relation_of(edges, n=None) -> BinaryRelation:
+    """The relation of an iterable of (source, target) tuples over
+    ``n`` nodes."""
     columns = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-    return BinaryRelation.from_arrays(columns[:, 0], columns[:, 1])
+    return BinaryRelation.from_arrays(columns[:, 0], columns[:, 1], n)
 
 
 def closure_pair(edges, n, budget=None):
@@ -37,17 +38,22 @@ def closure_pair(edges, n, budget=None):
     )
 
 
+def transposed(relation: BinaryRelation) -> BinaryRelation:
+    """The relation with its columns swapped."""
+    return BinaryRelation.from_arrays(relation.target_array, relation.source_array)
+
+
 def assert_matches_reference(edges, n) -> None:
-    """The condensed closure, its length, one restriction and its
-    inverse equal the semi-naive oracle's."""
+    """The condensed closure read forward, its length, one source's
+    gather and the closure read backward equal the semi-naive oracle's."""
     closed, reference = closure_pair(edges, n)
-    assert closed.restrict(None, unlimited()) == reference
+    assert materialised(closed) == reference
     assert len(closed) == len(reference)
     node = n // 2
-    assert closed.restrict(np.array([node]), unlimited()) == (
+    assert materialised(closed, values=np.array([node])) == (
         BinaryRelation.from_keys(reference.key_array[reference.source_array == node])
     )
-    assert closed.inverse().restrict(None, unlimited()) == reference.inverse()
+    assert materialised(closed, forward=False) == transposed(reference)
 
 
 class TestClosureRelation:
@@ -67,27 +73,31 @@ class TestClosureRelation:
         assert pairs(closed) == pairs(reference)
         assert (2, 1) in pairs(closed)
 
-    def test_restrict_to_one_source(self):
+    def test_gather_from_one_source(self):
         closed, _ = closure_pair([(0, 1), (1, 2)], 4)
-        reach = closed.restrict(np.array([0]), unlimited())
-        assert reach.target_array.tolist() == [0, 1, 2]
-        assert closed.restrict(np.array([3]), unlimited()).target_array.tolist() == [3]
+        probe_index, targets = closed.gather(np.array([0]), True)
+        assert probe_index.tolist() == [0, 0, 0]
+        assert sorted(targets.tolist()) == [0, 1, 2]
+        assert closed.gather(np.array([3]), True)[1].tolist() == [3]
 
-    def test_inverse_matches_reference(self):
+    def test_gather_per_row_keeps_repeated_values(self):
+        """The gather runs on a table's rows as they are: a repeated
+        value gathers its partners once per row."""
+        closed, _ = closure_pair([(0, 1), (1, 2)], 4)
+        probe_index, targets = closed.gather(np.array([2, 1, 2]), True)
+        assert sorted(zip(probe_index.tolist(), targets.tolist())) == [
+            (0, 2), (1, 1), (1, 2), (2, 2)
+        ]
+
+    def test_backward_gather_matches_reference(self):
         closed, reference = closure_pair([(0, 1), (1, 2), (2, 0), (2, 3)], 5)
-        assert pairs(closed.inverse()) == pairs(reference.inverse())
-
-    def test_inverse_is_cached_and_involutive(self):
-        closed, _ = closure_pair([(0, 1)], 3)
-        assert closed.inverse().inverse() is closed
+        assert pairs(materialised(closed, forward=False)) == pairs(
+            transposed(reference)
+        )
 
     def test_len_matches_pair_count(self):
         closed, reference = closure_pair([(0, 1), (1, 0), (1, 2), (3, 1)], 5)
         assert len(closed) == len(reference)
-
-    def test_out_of_domain_sources_restrict_to_nothing(self):
-        closed, _ = closure_pair([(0, 1)], 2)
-        assert len(closed.restrict(np.array([5, 17]), unlimited())) == 0
 
     @given(
         n=st.integers(1, 12),
@@ -104,7 +114,7 @@ class TestClosureRelation:
         assert pairs(closed) == pairs(reference)
         assert len(closed) == len(reference)
         node = data.draw(st.integers(0, n - 1))
-        assert closed.restrict(np.array([node]), unlimited()) == (
+        assert materialised(closed, values=np.array([node])) == (
             BinaryRelation.from_keys(reference.key_array[reference.source_array == node])
         )
 
@@ -125,14 +135,29 @@ class TestClosureRelation:
 
 
 class TestClosureInTheJoin:
-    def test_inverse_honours_the_callers_budget(self):
-        """A target-bound starred conjunct expands the *inverse* closure:
-        building it must poll the caller's token, not ``unlimited()``."""
-        token = CancellationToken()
-        token.cancel("client went away")
+    def test_target_bound_step_honours_the_callers_budget(self):
+        """A target-bound starred conjunct gathers the closure backwards
+        under the caller's budget, not ``unlimited()``: its rows are
+        charged to the caller's cap, and the caller's token stops the
+        join right after it."""
+        from repro.engine.joins import join_rule
+        from repro.queries.parser import parse_query
+
+        rule = parse_query("(?x, ?z) <- (?x, a, ?y), (?z, b, ?y)").rules[0]
         closed, _ = closure_pair([(0, 1), (1, 2)], 4)
+        relations = [relation_of([(3, 2)], 4), closed]
+        # Step 1 binds ?y = 2; step 2 gathers {0, 1, 2} backwards from it.
+        assert rows(join_rule(rule, relations, order=[0, 1])) == {
+            (3, 0), (3, 1), (3, 2)
+        }
+        with pytest.raises(EngineBudgetExceeded):
+            join_rule(rule, relations, EvaluationBudget(max_rows=2), order=[0, 1])
+        token = CancelsAfter(polls=1)  # the first step's poll passes
         with pytest.raises(ExecutionCancelled):
-            closed.inverse(ResourceBudget(token=token))
+            join_rule(
+                rule, relations, ResourceBudget(token=token).start(), order=[0, 1]
+            )
+        assert token.left == -1
 
     @pytest.mark.parametrize("engine", ["postgres", "sparql", "datalog"])
     def test_cancelled_token_stops_target_bound_star(self, bib_graph, engine):

@@ -33,7 +33,6 @@ from repro.columnar import (
     sorted_unique_keys,
     unique_rows,
 )
-from repro.engine.budget import unlimited
 from repro.engine.closure import ClosureRelation
 from repro.engine.evaluator import evaluate_query
 from repro.engine.relations import BinaryRelation
@@ -424,16 +423,17 @@ class TestReadPathAvoidsNpUnique:
             probed = [evaluate_query(q, bib_graph_400, "postgres") for q in queries]
         assert probed == [evaluate_query(q, bib_graph_400, "datalog") for q in queries]
 
-    def test_relation_closure_and_restriction(self, forbid_unique):
+    def test_relation_closure_and_gather(self, forbid_unique):
         relation = BinaryRelation.from_arrays([0, 1, 2, 5], [1, 2, 0, 5])
         with forbid_unique():
             closure = transitive_closure(relation)
-            restricted = ClosureRelation(relation, 6).restrict(
-                np.array([9, 5, 2, 5]), unlimited()
-            )
+            probes = np.array([5, 2, 5])
+            probe_index, targets = ClosureRelation(relation, 6).gather(probes, True)
         cycle = {(s, t) for s in range(3) for t in range(3)}
         assert pairs(closure) == cycle | {(5, 5)}
-        assert pairs(restricted) == {(2, 0), (2, 1), (2, 2), (5, 5)}
+        assert sorted(zip(probe_index.tolist(), targets.tolist())) == [
+            (0, 5), (1, 0), (1, 1), (1, 2), (2, 5)
+        ]
 
     def test_result_set_from_unsorted_tables(self, forbid_unique):
         with forbid_unique():

@@ -16,9 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles.reference import ReferenceLabeledGraph
-from oracles.tuples import pairs as pair_set
+from oracles.tuples import materialised, pairs as pair_set
 from repro.columnar import PairStore, keys_contain_many, pack_pairs, unpack_keys
-from repro.engine.budget import unlimited
 from repro.engine.closure import ClosureRelation
 from repro.engine.evaluator import evaluate_query
 from repro.engine.relations import BinaryRelation
@@ -195,7 +194,6 @@ class TestMutationSafety:
             relation.source_array,
             relation.target_array,
             relation.key_array,
-            *relation.backward_arrays(),
             relation.sources(),
         ]
         for column in columns:
@@ -203,21 +201,30 @@ class TestMutationSafety:
                 column[0] = 999
         assert pair_set(relation) == {(1, 2), (1, 3), (3, 1)}
 
-    def test_closure_restrict_read_only_on_hit_and_miss(self):
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_closure_gather_safe_on_hit_and_miss(self, forward):
+        """What a gather returns never aliases the closure: writing
+        into a hit's or a miss's columns, wherever they are writable,
+        leaves the closure's answers intact."""
         closure = ClosureRelation(relation_of([(0, 1), (1, 2)]), 4)
-        hit = closure.restrict(np.array([0]), unlimited())
-        miss = closure.restrict(np.array([42]), unlimited())
-        with pytest.raises(ValueError):
-            hit.target_array[0] = 999
-        assert len(miss) == 0 and not miss.target_array.flags.writeable
-        again = closure.restrict(np.array([0]), unlimited())
-        assert again.target_array.tolist() == [0, 1, 2]
+        hit = closure.gather(np.array([0, 2]), forward)
+        miss = closure.gather(np.array([], dtype=np.int64), forward)
+        assert all(column.size == 0 for column in miss)
+        for column in (*hit, *miss):
+            if column.flags.writeable:
+                column[:] = 999
+        again = materialised(closure, forward, np.array([0, 2]))
+        expected = [(0, 0), (0, 1), (0, 2), (2, 2)]
+        if not forward:
+            expected = [(0, 0), (2, 0), (2, 1), (2, 2)]
+        assert pair_set(again) == set(expected)
 
 
 def relation_of(pairs) -> BinaryRelation:
-    """The relation of a list of (source, target) tuples."""
+    """The relation of a list of (source, target) tuples over the 41
+    nodes ``PAIRS`` draws from."""
     columns = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return BinaryRelation.from_arrays(columns[:, 0], columns[:, 1])
+    return BinaryRelation.from_arrays(columns[:, 0], columns[:, 1], 41)
 
 
 PAIRS = st.lists(
@@ -247,7 +254,8 @@ class TestRelationAlgebraParity:
     @given(pairs=PAIRS)
     @settings(max_examples=40, deadline=None)
     def test_inverse(self, pairs):
-        assert pair_set(relation_of(pairs).inverse()) == {
+        """The backward gather from every node is the inverse."""
+        assert pair_set(materialised(relation_of(pairs), forward=False)) == {
             (t, s) for s, t in pairs
         }
 

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.columnar import sorted_unique_keys
 from repro.engine.budget import EvaluationBudget, unlimited
+from repro.engine.closure import ClosureRelation
 from repro.engine.joins import greedy_join_order, join_rule, naive_join_order
 from repro.engine.relations import BinaryRelation
 from repro.errors import EngineBudgetExceeded
@@ -13,13 +16,18 @@ from repro.queries.parser import parse_query
 from repro.schema.config import GraphConfiguration
 from repro.scenarios import scenario_schema
 
-from oracles.tuples import pairs, rows
+from oracles.reference_closure import transitive_closure
+from oracles.reference_join import expand_join
+from oracles.tuples import materialised, pairs, rows
+
+#: The node domain of the hand-written relations below.
+NODES = 128
 
 
-def relation_of(edges) -> BinaryRelation:
+def relation_of(edges, n=NODES) -> BinaryRelation:
     """The relation of an iterable of (source, target) tuples."""
     columns = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-    return BinaryRelation.from_arrays(columns[:, 0], columns[:, 1])
+    return BinaryRelation.from_arrays(columns[:, 0], columns[:, 1], n)
 
 
 class TestBinaryRelation:
@@ -33,15 +41,20 @@ class TestBinaryRelation:
         right = relation_of([(2, 3), (1, 2)])
         assert pairs(left.union(right)) == {(1, 2), (2, 3)}
 
-    def test_inverse_involutive(self):
-        relation = relation_of([(1, 2), (3, 4)])
-        assert relation.inverse().inverse() == relation
+    def test_gather_both_directions(self):
+        relation = relation_of([(1, 2), (1, 3), (3, 4)])
+        assert materialised(relation) == relation
+        assert pairs(materialised(relation, forward=False)) == {
+            (2, 1), (3, 1), (4, 3)
+        }
+        probe_index, values = relation.gather(np.array([4, 1, 0, 4]), False)
+        assert list(zip(probe_index.tolist(), values.tolist())) == [(0, 3), (3, 3)]
 
     def test_compose(self):
         left = relation_of([(1, 2), (1, 3)])
         right = relation_of([(2, 4), (3, 4), (3, 5)])
         assert pairs(left.compose(right)) == {(1, 4), (1, 5)}
-        empty = BinaryRelation()
+        empty = BinaryRelation(NODES)
         assert len(empty.compose(right)) == 0
         assert len(left.compose(empty)) == 0
         assert len(right.compose(left)) == 0  # no target meets a source
@@ -59,7 +72,8 @@ class TestBinaryRelation:
     def test_from_graph_symbol(self, bib_graph):
         forward = BinaryRelation.from_graph_symbol(bib_graph, "authors")
         backward = BinaryRelation.from_graph_symbol(bib_graph, "authors-")
-        assert forward.inverse() == backward
+        assert materialised(forward, forward=False) == backward
+        assert materialised(backward, forward=False) == forward
 
     @pytest.mark.parametrize("scenario", ["bib", "lsn", "sp", "wd"])
     def test_inverse_adopts_the_backward_index(self, scenario):
@@ -73,6 +87,109 @@ class TestBinaryRelation:
             keys = BinaryRelation.from_graph_symbol(graph, label + "-").key_array
             assert np.array_equal(keys, sorted_unique_keys(targets, sources)), label
             assert not keys.flags.writeable
+
+
+GATHER_NODES = 24
+NODE = st.integers(0, GATHER_NODES - 1)
+EDGES = st.lists(st.tuples(NODE, NODE), max_size=40)
+PROBES = st.lists(NODE, max_size=30)
+
+
+def oracle_gather(relation: BinaryRelation, probes: np.ndarray, forward: bool):
+    """``(probe_index, partners, charges)`` of the sort-merge lookup join
+    the gather replaced, against the relation's sorted source column or
+    its stably re-sorted target column."""
+    if forward:
+        build, payload = relation.source_array, relation.target_array
+    else:
+        order = np.argsort(relation.target_array, kind="stable")
+        build, payload = relation.target_array[order], relation.source_array[order]
+    charges: list[int] = []
+    _, probe_index, build_index = expand_join(probes, build, charges.append)
+    return probe_index, payload[build_index], charges
+
+
+class TestGatherParity:
+    """``gather`` against the ``expand_join`` oracle, both directions."""
+
+    @given(edges=EDGES, probes=PROBES, forward=st.booleans())
+    @example(edges=[], probes=[0, 5, 5], forward=True)
+    @example(edges=[], probes=[0, 5, 5], forward=False)
+    @settings(max_examples=80, deadline=None)
+    def test_binary_relation(self, edges, probes, forward):
+        """Same rows in the same order, and the same charge per call —
+        probes with no partner and the empty relation included."""
+        relation = relation_of(edges, GATHER_NODES)
+        probes = np.array(probes, dtype=np.int64)
+        expected_index, expected, expected_charges = oracle_gather(
+            relation, probes, forward
+        )
+        charges: list[int] = []
+        probe_index, partners = relation.gather(probes, forward, charges.append)
+        assert probe_index.tolist() == expected_index.tolist()
+        assert partners.tolist() == expected.tolist()
+        assert charges == expected_charges
+
+    @given(edges=EDGES, probes=PROBES, forward=st.booleans())
+    @example(edges=[], probes=[0, 5, 5], forward=True)
+    @settings(max_examples=80, deadline=None)
+    def test_closure_relation(self, edges, probes, forward):
+        """The same (row, partner) pairs as the materialised closure's
+        join.  The closure charges the (row, component) pairs first —
+        never more than the final size — then exactly the final size
+        the materialised join charges."""
+        base = relation_of(edges, GATHER_NODES)
+        closure = ClosureRelation(base, GATHER_NODES)
+        reference = transitive_closure(base, nodes=range(GATHER_NODES))
+        probes = np.array(probes, dtype=np.int64)
+        expected_index, expected, expected_charges = oracle_gather(
+            reference, probes, forward
+        )
+        charges: list[int] = []
+        probe_index, partners = closure.gather(probes, forward, charges.append)
+        assert sorted(zip(probe_index.tolist(), partners.tolist())) == sorted(
+            zip(expected_index.tolist(), expected.tolist())
+        )
+        assert len(charges) == 2
+        assert charges[0] <= charges[1] == expected_charges[0]
+
+    @given(edges=EDGES, forward=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_none_probes_every_node(self, edges, forward):
+        """``gather(None, ...)`` is the gather over every node in order,
+        for both relation kinds, charged the same."""
+        base = relation_of(edges, GATHER_NODES)
+        ids = np.arange(GATHER_NODES)
+        for relation in (base, ClosureRelation(base, GATHER_NODES)):
+            whole: list[int] = []
+            every: list[int] = []
+            got = relation.gather(None, forward, whole.append)
+            expected = relation.gather(ids, forward, every.append)
+            assert sorted(zip(*(column.tolist() for column in got))) == sorted(
+                zip(*(column.tolist() for column in expected))
+            )
+            assert whole[-1] == every[-1]
+
+    def test_gather_needs_a_node_domain(self):
+        relation = BinaryRelation.from_arrays([0, 1], [1, 2])
+        for forward in (True, False):
+            with pytest.raises(ValueError, match="domain_size"):
+                relation.gather(np.array([0]), forward)
+
+    def test_unbound_join_step_charges_the_product_once(self):
+        """A step with no bound end charges table rows × relation size
+        before its full gather, and nothing else."""
+        rule = parse_query("(?x, ?y) <- (?x, a, ?z), (?w, b, ?y)").rules[0]
+        relations = [relation_of([(0, 1), (2, 3)]), relation_of([(4, 5), (6, 7), (6, 8)])]
+        charged: list[int] = []
+
+        class Recording(EvaluationBudget):
+            def check_rows(self, rows: int) -> None:
+                charged.append(rows)
+                super().check_rows(rows)
+
+        join_rule(rule, relations, Recording().start(), order=[0, 1])
+        assert charged == [1 * 2, 2, 2 * 3, 6]
 
 
 class TestJoins:
@@ -144,14 +261,14 @@ class TestJoins:
     def test_empty_relation_short_circuits(self):
         query = parse_query("(?x, ?y) <- (?x, a, ?z), (?z, b, ?y)")
         rule = query.rules[0]
-        relations = [relation_of([(0, 1)]), BinaryRelation()]
+        relations = [relation_of([(0, 1)]), BinaryRelation(NODES)]
         assert rows(join_rule(rule, relations)) == set()
 
     def test_boolean_join_returns_unit(self):
         query = parse_query("() <- (?x, a, ?y)")
         rule = query.rules[0]
         assert rows(join_rule(rule, [relation_of([(0, 1)])])) == {()}
-        assert rows(join_rule(rule, [BinaryRelation()])) == set()
+        assert rows(join_rule(rule, [BinaryRelation(NODES)])) == set()
 
     def test_closure_filter_on_empty_table(self):
         """The closure's both-bound filter tolerates 0-row binding tables."""
@@ -196,15 +313,15 @@ class TestJoins:
         closure = ClosureRelation(
             relation_of([(1, 0), (0, 3), (3, 1), (2, 4), (4, 5)]), 7
         )
-        materialised = closure.restrict(None, unlimited())
-        assert len(closure) == len(materialised)
+        pair_set = materialised(closure)
+        assert len(closure) == len(pair_set)
 
         def joined(rel_b):
             return join_rule(rule, [
                 rel_a if "a" in c.regex.predicates else rel_b for c in rule.body
             ])
 
-        assert joined(closure) == joined(materialised)
+        assert joined(closure) == joined(pair_set)
 
 
 class TestBudget:
