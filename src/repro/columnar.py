@@ -445,8 +445,6 @@ class PairStore:
         return self._bwd_indptr
 
     def _indptr(self, sorted_column: np.ndarray) -> np.ndarray:
-        if self.domain_size is None:
-            raise ValueError("a CSR index needs the store's domain_size")
         _CSR_BUILDS.inc()
         FAULTS.hit(_FP_CSR_BUILD)
         return frozen(indptr_for(sorted_column, self.domain_size))

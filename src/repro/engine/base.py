@@ -184,7 +184,7 @@ def disjunction_relation(
     combined: BinaryRelation | None = None
     for path in regex.disjuncts:
         if path.is_epsilon:
-            path_relation = BinaryRelation.identity(range(n))
+            path_relation = BinaryRelation.identity(n)
         else:
             path_relation = cache.relation(path.symbols[0])
             for symbol in path.symbols[1:]:

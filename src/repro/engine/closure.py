@@ -29,6 +29,7 @@ from repro.columnar import (
     EMPTY_I64,
     expand_indptr,
     expand_ranges,
+    frozen,
     indptr_for,
     keys_contain_many,
     pack_pairs,
@@ -116,27 +117,35 @@ class ClosureRelation:
         return keys_contain_many(self._reach.key_array, probes)
 
     def gather(
-        self, values: np.ndarray | None, forward: bool, check_rows=None
+        self,
+        values: np.ndarray | None,
+        forward: bool,
+        check_rows=None,
+        check_bytes=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Every ``R*`` partner of each value: ``(probe_index, partners)``.
 
         :meth:`BinaryRelation.gather`'s contract (``None`` probes every
-        node), answered at component level: each value's component
-        gathers its reached components through the reach's forward CSR
-        (``forward``) or backward CSR, and each of those gathers its
-        members.  ``check_rows`` sees the (value, component) pairs, then
-        the final size — never more than the final size — before each
-        gather builds.
+        node, read-only outputs), answered at component level: each
+        value's component gathers its reached components through the
+        reach's forward CSR (``forward``) or backward CSR, and each of
+        those gathers its members.  ``check_rows`` sees the (value,
+        component) pairs, then the final size — never more than the
+        final size — before each gather builds.  A backward gather first
+        charges the reach's bytes to ``check_bytes``: it reads the
+        reach re-sorted on target.
         """
         if values is None:
             values = np.arange(self.node_count, dtype=np.int64)
+        if not forward and check_bytes is not None:
+            check_bytes(self._reach.nbytes)
         row, components = self._reach.gather(
             self._labels[values], forward, check_rows
         )
         member, partners = expand_indptr(
             components, self._member_indptr, self._member_order, check_rows
         )
-        return row[member], partners
+        return frozen(row[member]), frozen(partners)
 
     def __repr__(self) -> str:
         return (

@@ -111,7 +111,10 @@ def _extend_step(
     if src_pos is not None or trg_pos is not None:
         forward = src_pos is not None
         probe_index, values = relation.gather(
-            table[:, src_pos if forward else trg_pos], forward, budget.check_rows
+            table[:, src_pos if forward else trg_pos],
+            forward,
+            budget.check_rows,
+            budget.check_bytes,
         )
         return np.column_stack((table[probe_index], values))
     if self_loop:

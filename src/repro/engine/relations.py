@@ -29,8 +29,6 @@ tuple-at-a-time surface.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from repro.columnar import (
@@ -42,7 +40,6 @@ from repro.columnar import (
     keys_contain_many,
     merge_keys,
     pack_pairs,
-    sorted_unique,
     sorted_unique_keys,
 )
 from repro.engine.budget import EvaluationBudget, unlimited
@@ -54,23 +51,20 @@ class BinaryRelation:
     """An immutable set of integer pairs with columnar two-way indexes.
 
     ``BinaryRelation(n)`` is the empty relation over ``n`` nodes; every
-    other relation comes from a ``from_*`` constructor.  The node domain
-    ``[0, node_count)`` sizes the lazy CSR that :meth:`gather` probes; a
-    relation built without one can be read and combined but not
-    gathered from.
+    other relation comes from a ``from_*`` constructor.  Every
+    constructor takes the node domain ``[0, node_count)``, which sizes
+    the lazy CSR that :meth:`gather` probes.
     """
 
     __slots__ = ("_store",)
 
-    def __init__(self, domain_size: int | None = None):
+    def __init__(self, domain_size: int):
         self._store = PairStore(domain_size)
 
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_keys(
-        cls, keys: np.ndarray, domain_size: int | None = None
-    ) -> "BinaryRelation":
+    def from_keys(cls, keys: np.ndarray, domain_size: int) -> "BinaryRelation":
         """Adopt a sorted unique packed key column zero-copy.
 
         The packed-key fast path: frontier sweeps and closure kernels
@@ -82,9 +76,7 @@ class BinaryRelation:
         return relation
 
     @classmethod
-    def from_arrays(
-        cls, sources, targets, domain_size: int | None = None
-    ) -> "BinaryRelation":
+    def from_arrays(cls, sources, targets, domain_size: int) -> "BinaryRelation":
         """Build from parallel endpoint columns (deduplicates)."""
         sources = as_id_array(sources)
         if sources.size == 0:
@@ -110,19 +102,10 @@ class BinaryRelation:
         return cls.from_keys(pack_pairs(targets, sources), graph.n)
 
     @classmethod
-    def identity(cls, nodes: Iterable[int]) -> "BinaryRelation":
-        """The ε relation: every node related to itself.
-
-        Its domain ends at the largest node (``range(n)`` gives ``n``).
-        """
-        if isinstance(nodes, range):
-            ids = np.arange(nodes.start, nodes.stop, nodes.step, dtype=np.int64)
-            ids = np.sort(ids)
-        else:
-            ids = sorted_unique(list(nodes))
-        if ids.size == 0:
-            return cls()
-        return cls.from_keys(pack_pairs(ids, ids), int(ids[-1]) + 1)
+    def identity(cls, node_count: int) -> "BinaryRelation":
+        """The ε relation over ``node_count`` nodes: each to itself."""
+        ids = np.arange(node_count, dtype=np.int64)
+        return cls.from_keys(pack_pairs(ids, ids), node_count)
 
     # -- columnar views ---------------------------------------------------
 
@@ -142,14 +125,18 @@ class BinaryRelation:
         return self._store.keys
 
     @property
-    def node_count(self) -> int | None:
-        """Size of the node domain the ids lie in (None: not given)."""
+    def node_count(self) -> int:
+        """Size of the node domain the ids lie in."""
         return self._store.domain_size
 
     # -- probes -----------------------------------------------------------
 
     def gather(
-        self, values: np.ndarray | None, forward: bool, check_rows=None
+        self,
+        values: np.ndarray | None,
+        forward: bool,
+        check_rows=None,
+        check_bytes=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Every partner of each value: ``(probe_index, partners)``.
 
@@ -159,7 +146,10 @@ class BinaryRelation:
         forward / backward CSR; ``check_rows`` sees the gathered size
         before anything is built.  Values must lie in the node domain;
         ``None`` probes every node in order, so the probe index is the
-        node id — here the relation's own (read-only) columns.
+        node id — here the relation's own columns.  Both columns are
+        read-only.  ``check_bytes`` charges nothing here: the store's
+        CSR is left out of byte accounting, as it is from :attr:`nbytes`
+        (a closure charges its reach, :meth:`ClosureRelation.gather`).
         """
         store = self._store
         if values is None:
@@ -170,7 +160,8 @@ class BinaryRelation:
             indptr, payload = store.forward_indptr(), store.second
         else:
             indptr, payload = store.backward_indptr(), store.backward()[1]
-        return expand_indptr(values, indptr, payload, check_rows)
+        probe_index, partners = expand_indptr(values, indptr, payload, check_rows)
+        return frozen(probe_index), frozen(partners)
 
     def contains_many(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Membership mask of parallel (source, target) id columns."""
@@ -201,9 +192,8 @@ class BinaryRelation:
     # -- algebra ----------------------------------------------------------
 
     def union(self, other: "BinaryRelation") -> "BinaryRelation":
-        domain = self.node_count if other.node_count is None else other.node_count
         return BinaryRelation.from_keys(
-            merge_keys(self.key_array, other.key_array), domain
+            merge_keys(self.key_array, other.key_array), self.node_count
         )
 
     def compose(

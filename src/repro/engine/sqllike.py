@@ -36,7 +36,7 @@ class PostgresLikeEngine(Engine):
             return base
         # Naive, not semi-naive: every round joins the *whole* accumulated
         # relation against the base (Table 4 depends on it).
-        result = BinaryRelation.identity(range(graph.n)).union(base)
+        result = BinaryRelation.identity(graph.n).union(base)
         while True:
             budget.check_time()
             budget.check_rows(len(result))

@@ -38,7 +38,7 @@ def transitive_closure(
 
     ``nodes`` supplies the identity base (Kleene star matches ε on
     *every* node); when omitted only nodes touched by the relation
-    are included.  Each round joins only the previous round's *delta*
+    are included.  The closure keeps the relation's node domain.  Each round joins only the previous round's *delta*
     against the base relation (vectorized sort-merge), so work is
     proportional to newly discovered pairs.  The budget is charged
     with the accumulated closure every round.
@@ -51,7 +51,8 @@ def transitive_closure(
         touched = sorted_unique(np.concatenate((base_sources, base_targets)))
         identity = pack_pairs(touched, touched) if touched.size else EMPTY_I64
     else:
-        identity = BinaryRelation.identity(nodes).key_array
+        ids = sorted_unique(list(nodes))
+        identity = pack_pairs(ids, ids)
 
     closure_keys = merge_keys(identity, base_keys)
     delta_keys = keys_difference(base_keys, identity)
@@ -70,4 +71,4 @@ def transitive_closure(
         )
         delta_keys = keys_difference(candidates, closure_keys)
         closure_keys = merge_keys(closure_keys, delta_keys)
-    return BinaryRelation.from_keys(closure_keys)
+    return BinaryRelation.from_keys(closure_keys, relation.node_count)

@@ -22,7 +22,7 @@ from oracles.reference_closure import transitive_closure
 from oracles.tuples import materialised, pairs, rows
 
 
-def relation_of(edges, n=None) -> BinaryRelation:
+def relation_of(edges, n) -> BinaryRelation:
     """The relation of an iterable of (source, target) tuples over
     ``n`` nodes."""
     columns = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
@@ -31,7 +31,7 @@ def relation_of(edges, n=None) -> BinaryRelation:
 
 def closure_pair(edges, n, budget=None):
     """(SCC-condensed, semi-naive reference) closures of the same base."""
-    base = relation_of(edges)
+    base = relation_of(edges, n)
     return (
         ClosureRelation(base, n, budget),
         transitive_closure(base, nodes=range(n)),
@@ -40,7 +40,9 @@ def closure_pair(edges, n, budget=None):
 
 def transposed(relation: BinaryRelation) -> BinaryRelation:
     """The relation with its columns swapped."""
-    return BinaryRelation.from_arrays(relation.target_array, relation.source_array)
+    return BinaryRelation.from_arrays(
+        relation.target_array, relation.source_array, relation.node_count
+    )
 
 
 def assert_matches_reference(edges, n) -> None:
@@ -51,7 +53,9 @@ def assert_matches_reference(edges, n) -> None:
     assert len(closed) == len(reference)
     node = n // 2
     assert materialised(closed, values=np.array([node])) == (
-        BinaryRelation.from_keys(reference.key_array[reference.source_array == node])
+        BinaryRelation.from_keys(
+            reference.key_array[reference.source_array == node], n
+        )
     )
     assert materialised(closed, forward=False) == transposed(reference)
 
@@ -115,7 +119,9 @@ class TestClosureRelation:
         assert len(closed) == len(reference)
         node = data.draw(st.integers(0, n - 1))
         assert materialised(closed, values=np.array([node])) == (
-            BinaryRelation.from_keys(reference.key_array[reference.source_array == node])
+            BinaryRelation.from_keys(
+                reference.key_array[reference.source_array == node], n
+            )
         )
 
     def test_used_by_datalog_engine_for_stars(self, bib_graph):
@@ -158,6 +164,35 @@ class TestClosureInTheJoin:
                 rule, relations, ResourceBudget(token=token).start(), order=[0, 1]
             )
         assert token.left == -1
+
+    def test_target_bound_step_charges_the_reach_bytes(self):
+        """A target-bound starred conjunct reads the component reach
+        re-sorted on target, so the reach's bytes meet the caller's
+        memory cap before it is built; source-bound, the same step
+        builds nothing of the kind and fits the cap."""
+        from repro.engine.joins import join_rule
+        from repro.queries.parser import parse_query
+
+        closed, _ = closure_pair([(0, 1), (1, 2)], 4)
+        cap = 100  # the reach (7 component pairs) is 168 bytes
+        backward = parse_query("(?x, ?z) <- (?x, a, ?y), (?z, b, ?y)").rules[0]
+        with pytest.raises(EngineBudgetExceeded) as aborted:
+            join_rule(
+                backward,
+                [relation_of([(3, 2)], 4), closed],
+                ResourceBudget(max_bytes=cap).start(),
+                order=[0, 1],
+            )
+        assert aborted.value.resource == "bytes"
+        assert aborted.value.amount == 168
+        forward = parse_query("(?x, ?z) <- (?x, a, ?y), (?y, b, ?z)").rules[0]
+        answers = join_rule(
+            forward,
+            [relation_of([(3, 0)], 4), closed],
+            ResourceBudget(max_bytes=cap).start(),
+            order=[0, 1],
+        )
+        assert rows(answers) == {(3, 0), (3, 1), (3, 2)}
 
     @pytest.mark.parametrize("engine", ["postgres", "sparql", "datalog"])
     def test_cancelled_token_stops_target_bound_star(self, bib_graph, engine):
@@ -290,7 +325,7 @@ class TestLevelLoop:
         budget = CountingBudget()
         sources = np.arange(1_000)
         ClosureRelation(
-            BinaryRelation.from_arrays(sources, sources + 1_000), 2_000, budget
+            BinaryRelation.from_arrays(sources, sources + 1_000, 2_000), 2_000, budget
         )
         assert budget.polls <= 6
 
@@ -300,7 +335,7 @@ class TestLevelLoop:
         token = CancelsAfter(polls=3)
         with pytest.raises(ExecutionCancelled):
             ClosureRelation(
-                relation_of((i, i + 1) for i in range(199)),
+                relation_of(((i, i + 1) for i in range(199)), 200),
                 200,
                 ResourceBudget(token=token),
             )
@@ -312,19 +347,19 @@ class TestSemiNaiveOracle:
 
     def test_closure_matches_networkx(self):
         edges = [(0, 1), (1, 2), (2, 0), (2, 3), (4, 4)]
-        closure = transitive_closure(relation_of(edges), nodes=range(6))
+        closure = transitive_closure(relation_of(edges, 6), nodes=range(6))
         digraph = nx.DiGraph(edges)
         digraph.add_nodes_from(range(6))
         expected = set(nx.transitive_closure(digraph, reflexive=True).edges())
         assert pairs(closure) == expected
 
     def test_closure_includes_identity_on_given_nodes(self):
-        closure = transitive_closure(relation_of([(0, 1)]), nodes=range(3))
+        closure = transitive_closure(relation_of([(0, 1)], 3), nodes=range(3))
         assert (2, 2) in pairs(closure)
 
     def test_closure_budget_rows(self):
         # A 40-clique closure has 1600 pairs; cap at 100 must trip.
-        relation = relation_of((i, (i + 1) % 40) for i in range(40))
+        relation = relation_of(((i, (i + 1) % 40) for i in range(40)), 40)
         budget = EvaluationBudget(timeout_seconds=60, max_rows=100).start()
         with pytest.raises(EngineBudgetExceeded):
             transitive_closure(relation, nodes=range(40), budget=budget)
@@ -337,7 +372,7 @@ class TestSemiNaiveOracle:
     )
     @settings(max_examples=25, deadline=None)
     def test_transitive_closure(self, edges):
-        closure = transitive_closure(relation_of(edges), nodes=range(41))
+        closure = transitive_closure(relation_of(edges, 41), nodes=range(41))
         digraph = nx.DiGraph(edges)
         digraph.add_nodes_from(range(41))
         expected = set(nx.transitive_closure(digraph, reflexive=True).edges())

@@ -366,7 +366,7 @@ class TestWritePathAvoidsNpUnique:
 
     def test_relation_from_arrays(self, forbid_unique):
         with forbid_unique():
-            relation = BinaryRelation.from_arrays([5, 2, 5, 2], [1, 9, 1, 8])
+            relation = BinaryRelation.from_arrays([5, 2, 5, 2], [1, 9, 1, 8], 10)
         assert pairs(relation) == {(2, 8), (2, 9), (5, 1)}
 
 
@@ -424,7 +424,7 @@ class TestReadPathAvoidsNpUnique:
         assert probed == [evaluate_query(q, bib_graph_400, "datalog") for q in queries]
 
     def test_relation_closure_and_gather(self, forbid_unique):
-        relation = BinaryRelation.from_arrays([0, 1, 2, 5], [1, 2, 0, 5])
+        relation = BinaryRelation.from_arrays([0, 1, 2, 5], [1, 2, 0, 5], 6)
         with forbid_unique():
             closure = transitive_closure(relation)
             probes = np.array([5, 2, 5])

@@ -84,7 +84,7 @@ class TestSqlPrimitives:
         )
         assert left_sizes == [graph.n]
         assert answers == ResultSet.from_relation(
-            BinaryRelation.identity(range(graph.n))
+            BinaryRelation.identity(graph.n)
         )
 
 

@@ -60,7 +60,8 @@ class TestBinaryRelation:
         assert len(right.compose(left)) == 0  # no target meets a source
 
     def test_identity(self):
-        assert pairs(BinaryRelation.identity([1, 2])) == {(1, 1), (2, 2)}
+        assert pairs(BinaryRelation.identity(3)) == {(0, 0), (1, 1), (2, 2)}
+        assert len(BinaryRelation.identity(0)) == 0
 
     def test_compose_budget_rows(self):
         left = relation_of((0, i) for i in range(100))
@@ -169,12 +170,6 @@ class TestGatherParity:
                 zip(*(column.tolist() for column in expected))
             )
             assert whole[-1] == every[-1]
-
-    def test_gather_needs_a_node_domain(self):
-        relation = BinaryRelation.from_arrays([0, 1], [1, 2])
-        for forward in (True, False):
-            with pytest.raises(ValueError, match="domain_size"):
-                relation.gather(np.array([0]), forward)
 
     def test_unbound_join_step_charges_the_product_once(self):
         """A step with no bound end charges table rows × relation size
@@ -285,7 +280,9 @@ class TestJoins:
 
         rng = np.random.default_rng(0)
         base = rng.integers(0, 30, size=(80, 2))
-        closure = ClosureRelation(BinaryRelation.from_arrays(base[:, 0], base[:, 1]), 30)
+        closure = ClosureRelation(
+            BinaryRelation.from_arrays(base[:, 0], base[:, 1], 30), 30
+        )
         table = rng.integers(0, 30, size=(200, 3)).astype(np.int64)
         out = table[closure.contains_many(table[:, 0], table[:, 2])]
         reach = pairs(closure)

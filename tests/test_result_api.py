@@ -106,10 +106,10 @@ class TestResultSetConstruction:
     def test_relation_round_trip(self):
         from repro.engine.relations import BinaryRelation
 
-        relation = BinaryRelation.from_arrays([5, 1], [6, 2])
+        relation = BinaryRelation.from_arrays([5, 1], [6, 2], 7)
         rs = ResultSet.from_relation(relation)
         assert rs.key_array is relation.key_array  # zero-copy
-        assert BinaryRelation.from_keys(rs.key_array) == relation
+        assert BinaryRelation.from_keys(rs.key_array, 7) == relation
 
 
 class TestResultSetAlgebra:

@@ -37,16 +37,16 @@ ROWS_PER_NODE = 20
 QUERIES_PER_CLASS = 10
 
 
-def _differential(scenario: str, nodes: int, seed: int) -> int:
+def _differential(scenario: str, nodes: int, seed: int) -> tuple[int, int]:
     """Engine answers compared with sqlite's count.
 
     Asserts every answer, so a disagreement fails at its query; the
-    returned count lets the caller require that the run checked
-    something.
+    returned counts — P, S and D's comparisons, then G's — let the
+    caller require that the run checked something of each.
     """
     configuration = GraphConfiguration(nodes, scenario_schema(scenario))
     graph = generate_graph(configuration, seed=seed)
-    comparisons = 0
+    comparisons = isomorphic = 0
     with SqliteOracle(graph) as oracle:
         assert sum(
             oracle.edge_count(label) for label in configuration.schema.alphabet
@@ -72,8 +72,8 @@ def _differential(scenario: str, nodes: int, seed: int) -> int:
                         )
                     comparisons += len(answers)
                 if not query.has_recursion:
-                    comparisons += _isomorphic(oracle, query, graph, nodes)
-    return comparisons
+                    isomorphic += _isomorphic(oracle, query, graph, nodes)
+    return comparisons, isomorphic
 
 
 def _isomorphic(oracle: SqliteOracle, query, graph, nodes: int) -> int:
@@ -89,15 +89,16 @@ def _isomorphic(oracle: SqliteOracle, query, graph, nodes: int) -> int:
 
 @pytest.mark.parametrize("scenario", ["bib", "lsn"])
 def test_engines_match_sqlite(scenario):
-    comparisons = _differential(scenario, nodes=1_000, seed=1)
-    # 4 families x 30 queries x 3 engines (plus G on the star-free
-    # ones), less the budget aborts.
+    comparisons, isomorphic = _differential(scenario, nodes=1_000, seed=1)
+    # 4 families x 30 queries x 3 engines, less the budget aborts.
     assert comparisons > 4 * 3 * QUERIES_PER_CLASS * len(ENGINES) // 2
+    # G: the 3 star-free families x 30 queries, less the budget aborts.
+    assert isomorphic > 3 * 3 * QUERIES_PER_CLASS // 2
 
 
 @pytest.mark.nightly
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("scenario", ["bib", "lsn", "sp", "wd"])
 def test_engines_match_sqlite_sweep(scenario, seed):
-    assert _differential(scenario, nodes=2_000, seed=seed) > 0
-
+    comparisons, isomorphic = _differential(scenario, nodes=2_000, seed=seed)
+    assert comparisons > 0 and isomorphic > 0
