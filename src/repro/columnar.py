@@ -411,15 +411,19 @@ class PairStore:
             assert bool(np.all(repacked == keys)), "id columns out of sync"
 
     def backward(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sorted second column, first column in that order)."""
+        """(sorted second column, first column in that order).
+
+        One sort of the swapped keys ``(second << KEY_BITS) | first``:
+        the keys are unique, so ties on ``second`` come out ordered by
+        ``first``, exactly as a stable argsort of ``second`` leaves them.
+        """
         if self._bwd is None:
             _CSR_BUILDS.inc()
             FAULTS.hit(_FP_CSR_BUILD)
-            order = np.argsort(self.second, kind="stable")
-            self._bwd = (
-                frozen(self.second[order]),
-                frozen(self.first[order]),
-            )
+            swapped = (self.second << KEY_BITS) | self.first
+            swapped.sort()
+            seconds, firsts = unpack_keys(swapped)
+            self._bwd = (frozen(seconds), frozen(firsts))
         return self._bwd
 
     def slice_of(self, first_value: int) -> np.ndarray:

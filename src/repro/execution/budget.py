@@ -49,12 +49,17 @@ def _abort(
     resource: str | None = None,
     amount: int | None = None,
 ) -> EngineBudgetExceeded:
-    """Build (and log) a budget abort with the active span path attached."""
+    """Build (and log) a budget abort with the active span path attached.
+
+    An abort is an outcome the caller handles, not a fault, so it logs
+    at INFO; the span path is named only when tracing recorded one.
+    """
     span_path = TRACER.span_path()
     _ABORTS.inc()
-    _log.warning(
-        "budget abort after %.3fs at %s: %s", elapsed, span_path or "?", message
-    )
+    if span_path:
+        _log.info("budget abort after %.3fs at %s: %s", elapsed, span_path, message)
+    else:
+        _log.info("budget abort after %.3fs: %s", elapsed, message)
     return EngineBudgetExceeded(
         message,
         elapsed_seconds=elapsed,

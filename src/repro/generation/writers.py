@@ -6,6 +6,13 @@ graph engines, and per-predicate CSV tables for relational loading
 (one two-column table per predicate, the standard UCRPQ-over-SQL
 encoding).
 
+Every format is lines of literal text around decimal node ids, and one
+row kernel writes them all as bytes.  :func:`_digit_cells` renders the
+digits of every id once per writer call; :func:`_write_rows` gathers a
+chunk's cells into a structured buffer between the encoded literals,
+drops the pad bytes and writes what is left.  No Python object is made
+per edge.
+
 Writers resolve by format name through the shared
 :class:`~repro.registry.Registry` (``GRAPH_WRITERS``): the CLI's
 ``--format`` flag and :func:`write_graph` both look up there, so new
@@ -16,7 +23,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -37,62 +44,82 @@ def write_graph(graph: LabeledGraph, path: str | os.PathLike, format: str = "edg
 
 
 @contextmanager
-def _open_for_write(path: str | os.PathLike) -> Iterator[IO[str]]:
+def _open_for_write(path: str | os.PathLike) -> Iterator[IO[bytes]]:
     """Atomic serialisation: write a sibling temp file, rename on success.
 
     A failure mid-write (out of disk, a crash, an injected fault) leaves
     any pre-existing file at ``path`` untouched and removes the partial
     temp file — readers never observe a half-written instance (see
     :func:`repro.ioutil.atomic_open`, the shared discipline also behind
-    the abort-report and profile NDJSON writers).
+    the abort-report and profile NDJSON writers).  Writers get the
+    binary layer of the UTF-8 text handle.
     """
     with atomic_open(path) as handle:
         FAULTS.hit(_FP_SERIALIZE)
-        yield handle
+        yield handle.buffer
 
 
-#: Rows formatted per chunk by the bulk writers below.
+#: Rows per chunk of the row kernel and of the digit-table build.
 _CHUNK_ROWS = 1 << 16
 
+#: Leading pad byte of a digit cell.  0xFF never occurs in UTF-8, so
+#: dropping every 0xFF byte of a row buffer drops exactly the padding.
+_PAD = 0xFF
 
-def _fmt(literal: str) -> str:
-    """Escape a literal fragment for use inside a ``%``-template."""
-    return literal.replace("%", "%%")
 
+def _digit_cells(n: int) -> np.ndarray:
+    """Decimal digits of ids ``0 … n-1``, right-aligned in ``V{D}`` cells.
 
-def _write_pair_lines(
-    handle: IO[str],
-    template: str,
-    first,
-    second,
-) -> None:
-    """Write one ``template % (first, second)`` line per column row.
-
-    ``template`` holds exactly two ``%d`` slots.  Instead of one
-    f-string per edge, whole chunks are formatted with a single ``%``
-    application of the repeated template over the interleaved id
-    columns — an order of magnitude fewer Python-level operations on
-    multi-million-edge exports.
+    ``D`` is the digit count of ``n-1`` and unused leading bytes are
+    :data:`_PAD`.  The table is built in :data:`_CHUNK_ROWS` slices of
+    ids, so the build adds one slice's temporaries to the table's own
+    ``n·D`` bytes.
     """
-    total = len(first)
-    block = template * _CHUNK_ROWS
+    width = len(str(n - 1))
+    table = np.empty((n, width), dtype=np.uint8)
+    for lo in range(0, n, _CHUNK_ROWS):
+        ids = np.arange(lo, min(lo + _CHUNK_ROWS, n), dtype=np.int64)
+        block = table[lo : lo + ids.size]
+        block[:, -1] = ids % 10 + ord("0")
+        for place in range(2, width + 1):
+            ids //= 10
+            block[:, -place] = np.where(ids > 0, ids % 10 + ord("0"), _PAD)
+    return table.view(f"V{width}").reshape(n)
+
+
+def _write_rows(
+    handle: IO[bytes],
+    cells: np.ndarray,
+    fragments: Sequence[str],
+    columns: Sequence[np.ndarray],
+) -> None:
+    """Write ``fragments[0] col0 fragments[1] col1 … fragments[-1]`` per row.
+
+    ``columns`` are equally long id columns and ``fragments`` the
+    ``len(columns) + 1`` literal pieces around them, UTF-8 encoded.  A
+    chunk of rows is one structured buffer whose fields are the encoded
+    fragments (filled once) and digit cells (gathered per chunk with
+    ``cells[column[start:stop]]``); the buffer's bytes minus its pad are
+    the chunk's lines.
+    """
+    literals = [fragment.encode("utf-8") for fragment in fragments]
+    layout = []
+    for index, literal in enumerate(literals):
+        if literal:
+            layout.append((f"text{index}", f"V{len(literal)}"))
+        if index < len(columns):
+            layout.append((f"id{index}", cells.dtype))
+    total = len(columns[0])
+    buffer = np.empty(min(total, _CHUNK_ROWS), dtype=layout)
+    for index, literal in enumerate(literals):
+        if literal:
+            buffer[f"text{index}"] = np.void(literal)
     for start in range(0, total, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, total)
-        size = stop - start
-        interleaved = np.empty(2 * size, dtype=np.int64)
-        interleaved[0::2] = first[start:stop]
-        interleaved[1::2] = second[start:stop]
-        chunk = block if size == _CHUNK_ROWS else template * size
-        handle.write(chunk % tuple(interleaved.tolist()))
-
-
-def _write_id_lines(handle: IO[str], template: str, start: int, stop: int) -> None:
-    """Write one ``template % id`` line per id in ``[start, stop)``."""
-    block = template * _CHUNK_ROWS
-    for lo in range(start, stop, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, stop)
-        chunk = block if hi - lo == _CHUNK_ROWS else template * (hi - lo)
-        handle.write(chunk % tuple(range(lo, hi)))
+        rows = buffer[: min(total - start, _CHUNK_ROWS)]
+        for index, column in enumerate(columns):
+            rows[f"id{index}"] = cells[column[start : start + rows.size]]
+        flat = rows.view(np.uint8)
+        handle.write(flat[flat != _PAD])
 
 
 @GRAPH_WRITERS.register("ntriples")
@@ -108,25 +135,23 @@ def write_ntriples(
     SP2Bench-style SPARQL engines load directly.
     """
     rdf_type = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+    node = f"<{namespace}n"
+    cells = _digit_cells(graph.n)
     written = 0
     with _open_for_write(path) as handle:
         for type_name, type_range in graph.config.ranges.items():
+            ids = np.arange(type_range.start, type_range.stop)
             type_iri = f"<{namespace}type/{type_name}>"
-            _write_id_lines(
-                handle,
-                f"<{_fmt(namespace)}n%d> {rdf_type} {_fmt(type_iri)} .\n",
-                type_range.start,
-                type_range.stop,
-            )
-            written += type_range.stop - type_range.start
+            _write_rows(handle, cells, [node, f"> {rdf_type} {type_iri} .\n"], [ids])
+            written += ids.size
         for label in graph.labels():
             sources, targets = graph.edge_arrays(label)
             predicate = f"<{namespace}p/{label}>"
-            _write_pair_lines(
+            _write_rows(
                 handle,
-                f"<{_fmt(namespace)}n%d> {_fmt(predicate)} <{_fmt(namespace)}n%d> .\n",
-                sources,
-                targets,
+                cells,
+                [node, f"> {predicate} {node}", "> .\n"],
+                [sources, targets],
             )
             written += len(sources)
     return written
@@ -138,11 +163,12 @@ def write_edge_list(graph: LabeledGraph, path: str | os.PathLike) -> int:
 
     This is gMark's native ``.txt`` instance format.
     """
+    cells = _digit_cells(graph.n)
     written = 0
     with _open_for_write(path) as handle:
         for label in graph.labels():
             sources, targets = graph.edge_arrays(label)
-            _write_pair_lines(handle, f"%d {_fmt(label)} %d\n", sources, targets)
+            _write_rows(handle, cells, ["", f" {label} ", "\n"], [sources, targets])
             written += len(sources)
     return written
 
@@ -158,58 +184,14 @@ def write_csv_tables(
     binary relation per edge label.
     """
     os.makedirs(directory, exist_ok=True)
+    cells = _digit_cells(graph.n)
     files: dict[str, str] = {}
     for label in graph.labels():
         path = os.path.join(str(directory), f"{label}.csv")
         # edge_arrays is already sorted by (source, target).
         sources, targets = graph.edge_arrays(label)
         with _open_for_write(path) as handle:
-            handle.write("source,target\n")
-            _write_pair_lines(handle, "%d,%d\n", sources, targets)
+            handle.write(b"source,target\n")
+            _write_rows(handle, cells, ["", ",", "\n"], [sources, targets])
         files[label] = path
     return files
-
-
-def read_edge_list(
-    path: str | os.PathLike, config
-) -> LabeledGraph:
-    """Load a graph previously written by :func:`write_edge_list`.
-
-    Lines are batched per label and bulk-appended as arrays, so loading
-    goes through the same columnar path as generation.
-    """
-    graph = LabeledGraph(config)
-    batches: dict[str, tuple[list[int], list[int]]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            parts = line.split()
-            if not parts:
-                continue
-            sources, targets = batches.setdefault(parts[1], ([], []))
-            sources.append(int(parts[0]))
-            targets.append(int(parts[2]))
-    for label, (sources, targets) in batches.items():
-        graph.add_edges(
-            label,
-            np.asarray(sources, dtype=np.int64),
-            np.asarray(targets, dtype=np.int64),
-        )
-    return graph
-
-
-def iter_ntriples(lines: Iterable[str]):
-    """Parse N-triples lines into (subject, predicate, object) strings.
-
-    Minimal parser for round-trip tests; handles only the IRI-based
-    triples this package writes.
-    """
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not line.endswith("."):
-            continue
-        parts = line[:-1].split()
-        if len(parts) != 3:
-            continue
-        yield tuple(part.strip("<>") for part in parts)

@@ -42,7 +42,8 @@ from repro.generation.graph import LabeledGraph
 from oracles.reference import ReferenceLabeledGraph
 from oracles.reference_closure import transitive_closure
 from oracles.tuples import pairs, rows
-from repro.generation.writers import read_edge_list, write_edge_list
+from oracles.reference_writers import read_edge_list
+from repro.generation.writers import write_edge_list
 from repro.queries.generator import generate_workload
 from repro.queries.shapes import QueryShape
 from repro.queries.workload import WorkloadConfiguration

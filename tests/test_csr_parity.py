@@ -288,3 +288,27 @@ class TestRelationAlgebraParity:
             seconds, firsts = store.backward()
             assert set(zip(firsts.tolist(), seconds.tolist())) == oracle
             assert np.diff(store.forward_indptr()).sum() == len(oracle)
+
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.integers(0, (1 << 31) - 1), st.integers(0, (1 << 31) - 1)
+            )
+            | st.tuples(st.integers(0, 12), st.integers(0, 12)),
+            max_size=80,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_backward_matches_a_stable_argsort(self, pairs):
+        """The swapped-key sort gives the columns a stable argsort of
+        ``second`` followed by two gathers gives, read-only."""
+        store = PairStore()
+        columns = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        store.add_batch(columns[:, 0], columns[:, 1])
+        order = np.argsort(store.second, kind="stable")
+        seconds, firsts = store.backward()
+        assert np.array_equal(seconds, store.second[order])
+        assert np.array_equal(firsts, store.first[order])
+        assert seconds.dtype == firsts.dtype == np.int64
+        assert not seconds.flags.writeable and not firsts.flags.writeable
+        assert store.backward() is store.backward()

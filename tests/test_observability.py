@@ -293,28 +293,55 @@ class TestSessionMetrics:
 # -- budget aborts --------------------------------------------------------
 
 
+@pytest.fixture
+def abort_log(caplog):
+    """caplog attached to the budget's own logger at INFO.
+
+    The handler sits on the emitting logger itself (which stops
+    propagating meanwhile, so each record is captured once), and the
+    capture does not depend on whether an earlier CLI run stopped the
+    ``repro`` root from propagating.
+    """
+    logger = logging.getLogger("repro.execution.budget")
+    logger.addHandler(caplog.handler)
+    logger.propagate = False
+    try:
+        with caplog.at_level(logging.INFO, logger=logger.name):
+            yield caplog
+    finally:
+        logger.propagate = True
+        logger.removeHandler(caplog.handler)
+
+
 class TestBudgetAborts:
-    def test_abort_carries_span_path_and_logs(self, bib_graph, caplog):
+    def test_abort_carries_span_path_and_logs(self, bib_graph, abort_log):
         budget = EvaluationBudget(timeout_seconds=0.0, max_rows=10).start()
-        with caplog.at_level(logging.WARNING, logger="repro.engine.budget"):
-            with TRACER.recording():
-                with TRACER.span("engine.evaluate"), TRACER.span("engine.conjunct"):
-                    with pytest.raises(EngineBudgetExceeded) as excinfo:
-                        budget.check_rows(11)
+        with TRACER.recording():
+            with TRACER.span("engine.evaluate"), TRACER.span("engine.conjunct"):
+                with pytest.raises(EngineBudgetExceeded) as excinfo:
+                    budget.check_rows(11)
         assert excinfo.value.span_path == "engine.evaluate/engine.conjunct"
         assert excinfo.value.elapsed_seconds is not None
         assert METRICS.counter("engine.budget_aborts").value == 1
-        assert any(
-            "budget abort" in record.message
-            and "engine.evaluate/engine.conjunct" in record.message
-            for record in caplog.records
-        )
+        [record] = [r for r in abort_log.records if "budget abort" in r.message]
+        assert record.levelno == logging.INFO
+        assert "at engine.evaluate/engine.conjunct" in record.message
 
     def test_abort_without_tracing_has_no_path(self):
         budget = EvaluationBudget(timeout_seconds=0.0, max_rows=10).start()
         with pytest.raises(EngineBudgetExceeded) as excinfo:
             budget.check_rows(11)
         assert excinfo.value.span_path is None
+
+    def test_untraced_abort_logs_no_warning_and_no_unknown_site(self, abort_log):
+        budget = EvaluationBudget(timeout_seconds=0.0, max_rows=10).start()
+        with pytest.raises(EngineBudgetExceeded):
+            budget.check_rows(11)
+        assert not [r for r in abort_log.records if r.levelno >= logging.WARNING]
+        [record] = abort_log.records
+        assert record.levelno == logging.INFO
+        assert record.message.startswith("budget abort after ")
+        assert " at " not in record.message and "?" not in record.message
 
 
 # -- CLI ------------------------------------------------------------------

@@ -13,9 +13,8 @@ from repro.config.xml_io import (
     workload_config_to_xml,
 )
 from repro.errors import ConfigurationError
+from oracles.reference_writers import iter_ntriples, read_edge_list
 from repro.generation.writers import (
-    iter_ntriples,
-    read_edge_list,
     write_csv_tables,
     write_edge_list,
     write_ntriples,
