@@ -12,10 +12,9 @@ Two deliberate semantic gaps mirror §7.1's description of system G:
   the behaviour the paper reports for G.
 
 Evaluation is a **columnar binding-table join**: a match branch keeps
-one ``int64`` matrix with a column per bound pattern variable plus one
-packed ``(src << 32) | trg`` edge-key column per already-matched edge
-step, and extends the whole table one step at a time with the shared
-sorted-key kernels —
+one ``int64`` matrix with a column per bound pattern variable, and
+extends the whole table one step at a time with the shared sorted-key
+kernels —
 
 * CSR gathers (:func:`repro.columnar.expand_indptr`) for the
   bound-source / bound-target hop cases,
@@ -25,9 +24,16 @@ sorted-key kernels —
   (:func:`repro.engine.frontier.frontier_reachable_pairs`) for
   variable-length steps, which the table's rows gather through
   (:meth:`repro.engine.relations.BinaryRelation.gather`), and
-* vectorized duplicate-edge masking (the new edge-key column compared
-  against every same-label edge column at once) replacing the seed's
-  per-match ``used_edges`` frozenset.
+* vectorized duplicate-edge masking replacing the seed's per-match
+  ``used_edges`` frozenset.  A label's edges are unique
+  ``(source, target)`` pairs, so a matched edge *is* the pair of
+  variable columns its endpoints bound: each step records its
+  ``(a_pos, b_pos)`` columns, and a later same-label step drops the
+  rows whose endpoints equal an earlier step's on both columns.
+
+Each branch projects its head rows into a :class:`ResultSet` (packed
+sorted keys for a 2-ary head), and the branches fold by sorted-key
+union.
 
 Steps are ordered **most-selective-first** from per-label edge counts
 and bound-endpoint degree estimates — the first bite of
@@ -51,7 +57,6 @@ from repro.columnar import (
     keys_contain_many,
     pack_pairs,
     sorted_unique,
-    unique_rows,
 )
 from repro.engine.automaton import NFA
 from repro.engine.base import Engine, register_engine
@@ -289,11 +294,12 @@ class _BindingTable:
     """One match branch's state: an ``int64`` matrix plus column maps.
 
     ``rows`` holds one column per bound pattern variable (positions in
-    ``var_pos``) and one packed edge-key column per matched edge step
-    (positions per label in ``edge_cols`` — the columnar replacement of
-    the seed's per-match ``used_edges`` frozenset).  Columns only ever
-    append, so recorded positions stay valid across row filters and
-    expansions.
+    ``var_pos``).  ``edge_cols`` lists, per label, the ``(a_pos, b_pos)``
+    source / target variable columns of every matched edge step — the
+    columnar replacement of the seed's per-match ``used_edges``
+    frozenset, since within one label an edge is its
+    ``(source, target)`` pair.  Columns only ever append, so recorded
+    positions stay valid across row filters and expansions.
     """
 
     __slots__ = ("rows", "var_pos", "edge_cols")
@@ -301,7 +307,7 @@ class _BindingTable:
     def __init__(self) -> None:
         self.rows = np.zeros((1, 0), dtype=np.int64)
         self.var_pos: dict[str, int] = {}
-        self.edge_cols: dict[str, list[int]] = {}
+        self.edge_cols: dict[str, list[tuple[int, int]]] = {}
 
     @property
     def row_count(self) -> int:
@@ -355,9 +361,10 @@ def _extend_edge_step(
 
     Works on the *physical* edge orientation: an inverse symbol swaps
     which pattern variable sits on the source side.  After the rows are
-    extended/filtered, the step's packed edge keys are masked against
-    every already-matched same-label edge column (edge-isomorphism) and
-    appended as a new column.
+    extended/filtered, edge-isomorphism drops every row whose
+    ``(a, b)`` endpoints equal an already-matched same-label step's
+    ``(a_pos, b_pos)`` columns, and the step records its own pair (a
+    loop step records ``(a_pos, a_pos)``).  No column is appended.
     """
     label = symbol_base(step.symbol)
     budget = ctx.budget
@@ -417,18 +424,16 @@ def _extend_edge_step(
 
     if bt.row_count == 0:
         return
-    rows = bt.rows
-    edge_keys = pack_pairs(rows[:, a_pos], rows[:, b_pos])
-    previous = bt.edge_cols.get(label)
+    previous = bt.edge_cols.setdefault(label, [])
     if previous:
-        keep = np.ones(edge_keys.size, dtype=bool)
-        for column in previous:
-            keep &= rows[:, column] != edge_keys
+        rows = bt.rows
+        a, b = rows[:, a_pos], rows[:, b_pos]
+        keep = np.ones(rows.shape[0], dtype=bool)
+        for pa, pb in previous:
+            keep &= (rows[:, pa] != a) | (rows[:, pb] != b)
         if not keep.all():
-            rows = rows[keep]
-            edge_keys = edge_keys[keep]
-    bt.edge_cols.setdefault(label, []).append(rows.shape[1])
-    bt.rows = np.column_stack((rows, edge_keys))
+            bt.rows = rows[keep]
+    previous.append((a_pos, b_pos))
 
 
 def _cross_split(
@@ -545,38 +550,29 @@ class CypherLikeEngine(Engine):
         budget: EvaluationBudget,
     ) -> ResultSet:
         ctx = _EvalContext(graph, budget, self.conjunct_cache(graph))
-        arity = query.rules[0].arity
-        tables: list[np.ndarray] = []
+        result = ResultSet.empty(query.rules[0].arity)
         for rule in query.rules:
             for branch in _expand_branches(rule):
-                table = self._join_branch(rule, branch, ctx)
-                if table.shape[0]:
-                    tables.append(table)
+                part = self._join_branch(rule, branch, ctx)
+                if part:
+                    result = result.union(part)
                     if budget.wants_partial:
-                        combined = (
-                            tables[0]
-                            if len(tables) == 1
-                            else np.concatenate(tables)
-                        )
-                        budget.stash_partial(ResultSet.from_table(combined))
+                        budget.stash_partial(result)
                 budget.check_time()
-        if not tables:
-            return ResultSet.empty(arity)
-        combined = tables[0] if len(tables) == 1 else np.concatenate(tables)
-        return ResultSet.from_table(combined)
+        return result
 
     def _join_branch(
         self, rule: QueryRule, steps: list[_Step], ctx: _EvalContext
-    ) -> np.ndarray:
+    ) -> ResultSet:
         """Evaluate one branch: extend the table a step at a time and
-        project onto the head (unique rows)."""
+        project onto the head (a deduplicated :class:`ResultSet`)."""
         with TRACER.span("engine.branch", steps=len(steps)) as branch:
             decisions: list[dict] | None = [] if branch else None
             ordered = _order_steps(steps, ctx, decisions)
             if branch:
                 branch.set(order=decisions)
             rows = _run_steps(_BindingTable(), ordered, 0, rule.head, ctx)
-        return unique_rows(rows)
+        return ResultSet.from_table(rows)
 
 
 def _run_steps(

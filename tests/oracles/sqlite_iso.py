@@ -3,7 +3,7 @@
 The openCypher-like engine G matches a pattern *edge-isomorphically*:
 within one match no physical edge is used twice.  For a star-free query
 that semantics is a plain SQL join, written here independently of G's
-binding table, edge-key columns and step order:
+binding table, edge-isomorphism mask and step order:
 
 * each rule expands into the product of its conjuncts' disjuncts, and
   each such branch is one ``SELECT DISTINCT <head>`` over one

@@ -281,7 +281,7 @@ class TestDegradedParity:
         context falls back to sliced execution and still returns the
         identical result."""
         direct = session.evaluate(QUERY_2, engine)
-        cap = 12_000 if engine == "datalog" else 20_000
+        cap = 12_000
         with pytest.raises(EngineBudgetExceeded) as info:
             session.evaluate(
                 QUERY_2, engine, budget=EvaluationBudget(max_bytes=cap)

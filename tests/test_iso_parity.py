@@ -6,8 +6,8 @@ backtracker) on every query shape — including the two places where G's
 semantics *deliberately* diverge from the homomorphic engines:
 
 * **edge-isomorphism** — no physical edge used twice within one match
-  (the binding table's packed edge-key columns vs the reference's
-  ``used_edges`` frozenset);
+  (the binding table's ``(a_pos, b_pos)`` variable-column pairs per
+  matched edge step vs the reference's ``used_edges`` frozenset);
 * the **§7.1 restricted-recursion workaround** — inverse / concatenation
   under Kleene star approximated by label dropping, so recursive answers
   differ from the homomorphic engines in exactly the same way in both
@@ -25,6 +25,7 @@ from repro.engine.budget import EvaluationBudget, unlimited
 from repro.engine.isomorphic import CypherLikeEngine
 from repro.engine.resultset import ResultSet
 from repro.errors import EngineBudgetExceeded
+from repro.observability.trace import TRACER
 from repro.generation.graph import LabeledGraph
 from repro.queries.parser import parse_query
 from repro.schema.config import GraphConfiguration
@@ -69,7 +70,7 @@ _edges = st.lists(
 )
 
 #: Query shapes spanning every extension case of the binding-table join:
-#: chains / stars / cycles (repeated labels force the edge-key masking),
+#: chains / stars / cycles (repeated labels force the edge-isomorphism mask),
 #: inverse and concatenated symbols, self-loops, ε, variable-length
 #: steps in all four binding states, Cartesian branches, Boolean heads,
 #: multi-rule unions, and the §7.1 recursion workaround.
@@ -162,6 +163,14 @@ class TestEdgeReuseRejection:
         assert fast == slow
         assert rows(fast) == {(1, 2)}
 
+    def test_loop_edge_is_not_reused_by_a_later_step(self):
+        """The loop step records ``(x, x)``: the second step may not bind
+        the loop edge ``(0, 0)`` again, so ``?y = 0`` is ruled out."""
+        graph = _build_graph(4, {"a": [(0, 0), (0, 1)]})
+        fast, slow = _both("(?x, ?y) <- (?x, a, ?x), (?x, a, ?y)", graph)
+        assert fast == slow
+        assert rows(fast) == {(0, 1)}
+
     def test_triangle_needs_three_distinct_edges(self):
         graph = _build_graph(4, {"a": [(0, 1), (1, 2), (2, 0)]})
         fast, slow = _both(
@@ -169,6 +178,23 @@ class TestEdgeReuseRejection:
         )
         assert fast == slow
         assert rows(fast) == {(0,), (1,), (2,)}
+
+
+class TestNarrowBindingTable:
+    def test_step_width_is_the_bound_variable_count(self):
+        """The table holds one column per bound variable and nothing
+        else: edge-isomorphism reads the variable columns themselves."""
+        graph = _build_graph(4, {"a": [(0, 1), (1, 2), (1, 1)]})
+        query = parse_query("(?x, ?z) <- (?x, a, ?y), (?y, a, ?z)")
+        with TRACER.recording() as capture:
+            CypherLikeEngine().evaluate(query, graph, unlimited())
+        steps, pending = [], list(capture.roots)
+        while pending:
+            span = pending.pop(0)
+            if span.name == "engine.step":
+                steps.append(span)
+            pending.extend(span.children)
+        assert [span.attributes["width"] for span in steps] == [2, 3]
 
 
 class TestRestrictedRecursionWorkaround:
