@@ -33,7 +33,7 @@ kernels —
 
 Each branch projects its head rows into a :class:`ResultSet` (packed
 sorted keys for a 2-ary head), and the branches fold by sorted-key
-union.
+union, charged against the row cap after each branch.
 
 Steps are ordered **most-selective-first** from per-label edge counts
 and bound-endpoint degree estimates — the first bite of
@@ -556,6 +556,7 @@ class CypherLikeEngine(Engine):
                 part = self._join_branch(rule, branch, ctx)
                 if part:
                     result = result.union(part)
+                    budget.check_rows(len(result))
                     if budget.wants_partial:
                         budget.stash_partial(result)
                 budget.check_time()

@@ -13,7 +13,8 @@ Covers the hardened-execution layer (:mod:`repro.execution`):
   vectorized joins, isomorphic binding tables), both proactively
   (``degrade_rows``) and reactively (a byte cap the direct plan blows);
 * **caps under degradation** — a sliced run whose answer exceeds the
-  row cap aborts on rows within a bounded traced peak;
+  row cap aborts on rows within a bounded traced peak, and so does G's
+  union of match branches that each fit the cap;
 * **partial mode** — ``on_budget="partial"`` returns an incomplete
   :class:`ResultSet` carrying an :class:`AbortReport`;
 * the Session default budget, atomic graph serialisation, and the CLI
@@ -438,6 +439,34 @@ class TestCapsHoldWhileDegrading:
                     plain = answer(query, graph, engine, ResourceBudget(**caps))
                     if sliced is not None and plain is not None:
                         assert sliced == plain, where
+
+
+#: bib Dis 5 of ``stress_workload("Dis", cfg, 10, seed=1)``: each of G's
+#: three match branches fits a 40 000-row cap, their union does not.
+UNION_PATHS = (
+    "extendedTo.extendedTo-.authors-.authors",
+    "publishedIn.publishedIn-.authors-.authors",
+    "authors-.authors",
+)
+QUERY_UNION_OVER_CAP = f"(?x0, ?x1) <- (?x0, ({' + '.join(UNION_PATHS)}), ?x1)"
+
+
+class TestBranchUnionIsCharged:
+    @pytest.fixture(scope="class")
+    def bib(self):
+        bib = Session.from_scenario("bib", 2000, seed=0)
+        bib.graph()
+        return bib
+
+    def test_union_above_the_cap_aborts_on_rows(self, bib):
+        for path in UNION_PATHS:
+            text = f"(?x0, ?x1) <- (?x0, {path}, ?x1)"
+            ctx = ExecutionContext(max_rows=40_000)
+            assert len(bib.evaluate(text, "cypher", budget=ctx)) <= 40_000
+        ctx = ExecutionContext(max_rows=40_000)
+        with pytest.raises(EngineBudgetExceeded) as info:
+            bib.evaluate(QUERY_UNION_OVER_CAP, "cypher", budget=ctx)
+        assert info.value.resource == "rows"
 
 
 # -- partial results ----------------------------------------------------
