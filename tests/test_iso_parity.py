@@ -25,8 +25,8 @@ from repro.engine.budget import EvaluationBudget, unlimited
 from repro.engine.isomorphic import CypherLikeEngine
 from repro.engine.resultset import ResultSet
 from repro.errors import EngineBudgetExceeded
-from repro.observability.trace import TRACER
 from repro.generation.graph import LabeledGraph
+from repro.observability.trace import TRACER
 from repro.queries.parser import parse_query
 from repro.schema.config import GraphConfiguration
 from repro.schema.constraints import proportion
